@@ -36,7 +36,6 @@ from .errors import (
     RauzyLabError,
 )
 from .oracle import (
-    FibonacciIndex,
     IdentityCheck,
     fibonacci_number,
     generation_set,

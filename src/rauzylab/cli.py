@@ -294,7 +294,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 def _add_rule_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rule", default="fib", help="built-in rule name: fib or noble:m")
     p.add_argument("--rule-file", default=None, help="path to a JSON rule specification")
-    p.add_argument("--generation-cap", type=int, default=64, help="stabilisation generation cap")
+    p.add_argument("--generation-cap", type=int, default=64, help="window-closure round cap (short lengths only)")
 
 
 def build_parser() -> argparse.ArgumentParser:

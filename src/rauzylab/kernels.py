@@ -1,30 +1,15 @@
-"""Exact integer rank kernels.
+"""Exact integer rank.
 
-Fraction-free (Bareiss) elimination over int64, the one hot loop in the
-package: every cohomology rank reduces to it.  Two interchangeable
-implementations exist, a numba ``@njit`` kernel and a vectorised
-pure-numpy path, selected by the ``RAUZYLAB_KERNELS`` environment
-variable (``numba`` or ``numpy``; default is numba when importable).
-numba is an optional extra (``pip install rauzylab[numba]``); without it
-every choice, ``numba`` included, runs the numpy path, with identical ranks.
-
-Exactness is preserved by a magnitude guard: whenever an intermediate
-entry could overflow int64, the kernel returns the sentinel -1 and the
-dispatcher escalates to an arbitrary-precision Python implementation.
+Fraction-free (Bareiss) elimination over int64, vectorised with numpy:
+every cohomology rank reduces to it.  Exactness is preserved by a
+magnitude guard: whenever an intermediate entry could overflow int64, the
+kernel returns the sentinel -1 and ``exact_integer_rank`` escalates to an
+arbitrary-precision Python elimination.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is an optional extra
-    HAVE_NUMBA = False
 
 # Bareiss updates compute piv*a - f*b with |piv|,|a|,|f|,|b| <= M, so the
 # worst intermediate is 2*M**2; M <= 2**30 keeps that under 2**61.
@@ -33,67 +18,8 @@ _GUARD = 1 << 30
 OVERFLOW = -1
 
 
-def active_backend() -> str:
-    """The kernel backend currently in effect."""
-    choice = os.environ.get("RAUZYLAB_KERNELS", "").strip().lower()
-    if choice in ("numba", "numpy"):
-        if choice == "numba" and not HAVE_NUMBA:
-            return "numpy"
-        return choice
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-def _bareiss_rank_core(a):
-    """Fraction-free elimination; returns the rank or OVERFLOW.
-
-    Destroys ``a``.  This body is compiled by numba below and kept in
-    plain Python form only through that decorator.
-    """
-    n, m = a.shape
-    rank = 0
-    prev = np.int64(1)
-    for col in range(m):
-        if rank >= n:
-            break
-        piv_row = -1
-        for i in range(rank, n):
-            if a[i, col] != 0:
-                piv_row = i
-                break
-        if piv_row < 0:
-            continue
-        if piv_row != rank:
-            for j in range(m):
-                t = a[rank, j]
-                a[rank, j] = a[piv_row, j]
-                a[piv_row, j] = t
-        piv = a[rank, col]
-        if piv > _GUARD or piv < -_GUARD:
-            return OVERFLOW
-        for j in range(col, m):
-            v = a[rank, j]
-            if v > _GUARD or v < -_GUARD:
-                return OVERFLOW
-        for i in range(rank + 1, n):
-            f = a[i, col]
-            if f > _GUARD or f < -_GUARD:
-                return OVERFLOW
-            for j in range(col, m):
-                q = (piv * a[i, j] - f * a[rank, j]) // prev
-                if q > _GUARD or q < -_GUARD:
-                    return OVERFLOW
-                a[i, j] = q
-        prev = piv
-        rank += 1
-    return rank
-
-
-if HAVE_NUMBA:
-    _bareiss_rank_numba = njit(cache=True)(_bareiss_rank_core)
-
-
 def _bareiss_rank_numpy(a: np.ndarray) -> int:
-    """Vectorised fallback with the same contract as the numba kernel."""
+    """Vectorised Bareiss elimination; returns the rank or OVERFLOW.  Destroys ``a``."""
     n, m = a.shape
     rank = 0
     prev = 1
@@ -150,8 +76,8 @@ def _bareiss_rank_bigint(rows: list[list[int]]) -> int:
     return rank
 
 
-def rank_int64(a: np.ndarray, backend: str | None = None) -> int:
-    """Rank of an int64 array via the selected kernel; destroys ``a``.
+def rank_int64(a: np.ndarray) -> int:
+    """Rank of an int64 array; destroys ``a``.
 
     Returns OVERFLOW when the elimination would leave int64 range; the
     caller is responsible for escalating to ``exact_integer_rank``.
@@ -160,15 +86,12 @@ def rank_int64(a: np.ndarray, backend: str | None = None) -> int:
         return 0
     a = np.ascontiguousarray(a, dtype=np.int64)
     if int(np.abs(a).max()) > _GUARD:
-        # entries the kernels did not produce themselves are unguarded
+        # entries the kernel did not produce itself are unguarded
         return OVERFLOW
-    chosen = backend or active_backend()
-    if chosen == "numba" and HAVE_NUMBA:
-        return int(_bareiss_rank_numba(a))
     return _bareiss_rank_numpy(a)
 
 
-def exact_integer_rank(matrix, backend: str | None = None) -> int:
+def exact_integer_rank(matrix) -> int:
     """Exact rank of an integer matrix (any magnitude).
 
     ``matrix`` is a sequence of equal-length integer rows or an ndarray.
@@ -179,7 +102,7 @@ def exact_integer_rank(matrix, backend: str | None = None) -> int:
     if not rows or not rows[0]:
         return 0
     if max((abs(x) for row in rows for x in row), default=0) <= _GUARD:
-        result = rank_int64(np.array(rows, dtype=np.int64), backend)
+        result = rank_int64(np.array(rows, dtype=np.int64))
         if result != OVERFLOW:
             return result
     return _bareiss_rank_bigint(rows)

@@ -1,18 +1,21 @@
 """The factor language of a random substitution.
 
-``legal_subwords`` computes F_m, the set of legal length-m factors, by a
-stabilising finite procedure.  For the Fibonacci rule it follows the
-generation-set recursion
+``legal_subwords`` computes F_m, the set of legal length-m factors, by one
+routine for every rule: one desubstitution step from a shorter length K.
 
-    A_1 = {b},  A_2 = {a},  A_n = A_{n-1}A_{n-2} u A_{n-2}A_{n-1}
+A legal m-word w lies in one inflation of a legal word; take a shortest
+such word v.  The inflated interior of v (all letters but the first and
+the last) lies inside w, so it has at most m-2 letters.  Once every legal
+K-word's interior inflates to at least m-1 letters, even with each
+letter's shortest realization, |v| < K, and v extends to a legal K-word.
+So F_m is the set of length-m windows of one inflation of F_K.  The step
+assumes that every legal word shorter than K extends to a legal K-word;
+that is checked on F_1..F_K, and a rule that breaks it raises.
 
-but aggregated: because the products are full Cartesian products, each
-generation can be carried as (prefix set, suffix set, factor set)
-without losing any length-m factor, since every suffix/prefix pair
-across a product boundary genuinely occurs.  For all other rules a window-closure
-iteration over inflations is used instead.  Both paths stop once two
-consecutive generations agree (with word length at least m), which is
-exact for the Fibonacci rule and cap-guarded otherwise.
+Where no such K < m exists (short lengths), window closure inflates
+windows from a seed letter until they stop changing, within a cap on the
+number of rounds.  Reference: Rust & Spindeler, *Dynamical systems arising
+from random substitutions* (Indag. Math. 2018).
 """
 
 from __future__ import annotations
@@ -21,9 +24,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
-from .errors import InvalidRuleError, InvalidWordError, NonConvergenceError
+from .errors import InvalidRuleError, InvalidWordError, InvariantViolationError, NonConvergenceError
 from .rules import RandomSubstitution, has_fibonacci_support
-from .words import WordSet, factors, subwords
+from .words import WordSet, subwords
 
 __all__ = [
     "fibonacci_number",
@@ -36,7 +39,7 @@ __all__ = [
     "DEFAULT_GENERATION_CAP",
 ]
 
-#: upper bound on stabilisation generations before giving up
+#: upper bound on window-closure rounds before giving up
 DEFAULT_GENERATION_CAP = 64
 
 _generation_cap = DEFAULT_GENERATION_CAP
@@ -62,18 +65,6 @@ def fibonacci_number(n: int) -> int:
     if n <= 2:
         return 1
     return fibonacci_number(n - 1) + fibonacci_number(n - 2)
-
-
-@dataclass(frozen=True)
-class FibonacciIndex:
-    """A Fibonacci index paired with its value under the convention above."""
-
-    n: int
-    value: int
-
-    @classmethod
-    def of(cls, n: int) -> "FibonacciIndex":
-        return cls(n, fibonacci_number(n))
 
 
 _generation_memo: dict[tuple[RandomSubstitution, int], WordSet] = {}
@@ -113,48 +104,6 @@ def generation_set(rule: RandomSubstitution, n: int) -> WordSet:
     return result
 
 
-def _legal_subwords_fibonacci(m: int, cap: int) -> frozenset[str]:
-    """Stabilised F(A_k, m) via the aggregated generation recursion."""
-    k = m - 1
-    # per generation: prefix set (length min(f_n, m-1)), suffix set, factor set
-    pre = {1: {"b"}, 2: {"a"}}
-    suf = {1: {"b"}, 2: {"a"}}
-    fac: dict[int, set[str]] = {1: set(factors("b", m)), 2: set(factors("a", m))}
-    flen = {1: 1, 2: 1}
-
-    def prefixes(left: set[str], left_len: int, right: set[str]) -> set[str]:
-        if k == 0:
-            return set()
-        if left_len >= k:
-            return set(left)
-        return {(u + v)[:k] for u in left for v in right}
-
-    def suffixes(right: set[str], right_len: int, left: set[str]) -> set[str]:
-        if k == 0:
-            return set()
-        if right_len >= k:
-            return set(right)
-        return {(u + v)[-k:] for u in left for v in right}
-
-    for n in range(3, cap + 1):
-        flen[n] = flen[n - 1] + flen[n - 2]
-        crossing = fac[n - 1] | fac[n - 2]
-        for tail_side, head_side in ((n - 1, n - 2), (n - 2, n - 1)):
-            for s in suf[tail_side]:
-                for p in pre[head_side]:
-                    crossing.update(factors(s + p, m))
-        pre[n] = prefixes(pre[n - 1], flen[n - 1], pre[n - 2]) | prefixes(
-            pre[n - 2], flen[n - 2], pre[n - 1]
-        )
-        suf[n] = suffixes(suf[n - 2], flen[n - 2], suf[n - 1]) | suffixes(
-            suf[n - 1], flen[n - 1], suf[n - 2]
-        )
-        fac[n] = crossing
-        if n - 1 >= 4 and flen[n - 1] >= m and fac[n] == fac[n - 1]:
-            return frozenset(fac[n])
-    raise NonConvergenceError(f"factor sets did not stabilise within {cap} generations")
-
-
 def _inflation_windows(rule: RandomSubstitution, v: str, m: int) -> set[str]:
     """Length-m factors of every realization of one inflation of ``v``.
 
@@ -181,7 +130,7 @@ def _inflation_windows(rule: RandomSubstitution, v: str, m: int) -> set[str]:
 
 
 def _legal_subwords_generic(rule: RandomSubstitution, m: int, cap: int) -> frozenset[str]:
-    """Window-closure iteration for arbitrary rules."""
+    """Window closure: inflate windows from a seed letter to a fixed point."""
     windows: set[str] = {"b"} if "b" in rule.alphabet else {rule.alphabet[0]}
     for _ in range(cap):
         nxt: set[str] = set()
@@ -193,10 +142,32 @@ def _legal_subwords_generic(rule: RandomSubstitution, m: int, cap: int) -> froze
     raise NonConvergenceError(f"window sets did not stabilise within {cap} generations")
 
 
+def _check_extendable(rule: RandomSubstitution, k: int, cap: int) -> None:
+    """Raise unless every legal word shorter than k extends to a legal k-word."""
+    for j in range(1, k):
+        prefixes = {w[:-1] for w in _legal_subword_set(rule, j + 1, cap)}
+        if not _legal_subword_set(rule, j, cap) <= prefixes:
+            raise InvariantViolationError(
+                f"rule {rule.name!r} has a legal {j}-word with no legal right extension"
+            )
+
+
 @lru_cache(maxsize=None)
 def _legal_subword_set(rule: RandomSubstitution, m: int, cap: int) -> frozenset[str]:
-    if has_fibonacci_support(rule):
-        return _legal_subwords_fibonacci(m, cap)
+    """F_m by one desubstitution step from F_K, or by window closure.
+
+    K is the least length in [3, m) at which every legal K-word's interior
+    inflates to at least m-1 letters; without one, window closure is used.
+    """
+    shortest = {ch: min(map(len, rule.realizations(ch))) for ch in rule.alphabet}
+    for k in range(3, m):
+        base = _legal_subword_set(rule, k, cap)
+        if all(sum(shortest[ch] for ch in w[1:-1]) >= m - 1 for w in base):
+            _check_extendable(rule, k, cap)
+            out: set[str] = set()
+            for v in base:
+                out |= _inflation_windows(rule, v, m)
+            return frozenset(out)
     return _legal_subwords_generic(rule, m, cap)
 
 

@@ -162,10 +162,10 @@ class RationalMatrix:
             out.append([int(x * denom) for x in row])
         return out
 
-    def rank(self, backend: str | None = None) -> int:
+    def rank(self) -> int:
         if self.rows == 0 or self.cols == 0:
             return 0
-        return _cached_rank(self, backend)
+        return _cached_rank(self)
 
     def column_rank_full(self) -> bool:
         return self.rank() == self.cols
@@ -203,14 +203,14 @@ class RationalMatrix:
 
 
 @lru_cache(maxsize=32)
-def _cached_rank(matrix: RationalMatrix, backend: str | None) -> int:
+def _cached_rank(matrix: RationalMatrix) -> int:
     arr = matrix._int64()
     if arr is not None:
-        result = kernels.rank_int64(arr.copy(), backend)
+        result = kernels.rank_int64(arr.copy())
         if result != kernels.OVERFLOW:
             return result
-    return kernels.exact_integer_rank(matrix._integer_rows(), backend=backend)
+    return kernels.exact_integer_rank(matrix._integer_rows())
 
 
-def rank_of_rows(rows: Sequence[Sequence[Rational]], backend: str | None = None) -> int:
-    return RationalMatrix(rows).rank(backend=backend)
+def rank_of_rows(rows: Sequence[Sequence[Rational]]) -> int:
+    return RationalMatrix(rows).rank()

@@ -1,28 +1,9 @@
-"""Kernel backends: agreement, overflow escalation and selection.
-
-numba is an optional extra.  Where it is not installed, ``backend="numba"``
-runs the numpy kernel, so the numba-labelled cases here
-(``test_backends_agree``, ``test_overflow_sentinel_and_escalation``,
-``test_unguarded_input_is_rejected_up_front``,
-``test_wide_and_tall_shapes[numba]``) and
-``tests/test_rational.py::test_rank_matches_row_reduction_oracle`` then
-compare the numpy kernel with itself.  ``test_numba_available_here`` is the
-test that pins this: ``HAVE_NUMBA`` must match whether numba imports, and with
-numba blocked every backend choice must fall back to the exact numpy path.
-"""
-
-import importlib.util
-import os
-import subprocess
-import sys
-import textwrap
+"""The int64 rank kernel: agreement with the bigint reference, overflow escalation."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import rauzylab
 from rauzylab import kernels
 
 matrices = st.integers(1, 5).flatmap(
@@ -32,114 +13,27 @@ matrices = st.integers(1, 5).flatmap(
 )
 
 
-def numpy_float_rank(rows):
-    # float rank is only a sanity reference on small well-conditioned input
-    return int(np.linalg.matrix_rank(np.array(rows, dtype=float)))
-
-
-def test_backend_selection_env(monkeypatch):
-    monkeypatch.setenv("RAUZYLAB_KERNELS", "numpy")
-    assert kernels.active_backend() == "numpy"
-    monkeypatch.setenv("RAUZYLAB_KERNELS", "numba")
-    assert kernels.active_backend() == ("numba" if kernels.HAVE_NUMBA else "numpy")
-    monkeypatch.delenv("RAUZYLAB_KERNELS")
-    assert kernels.active_backend() in ("numba", "numpy")
-
-
-# Run with numba's import blocked; argv[1] is the directory holding rauzylab.
-_NO_NUMBA_SCRIPT = textwrap.dedent(
-    """
-    import sys
-
-    sys.modules["numba"] = None
-    sys.path.insert(0, sys.argv[1])
-
-    import numpy as np
-
-    from rauzylab import kernels
-
-    assert not kernels.HAVE_NUMBA
-    assert kernels.active_backend() == "numpy", kernels.active_backend()
-
-    numpy_calls = []
-    numpy_kernel = kernels._bareiss_rank_numpy
-
-    def counted(a):
-        numpy_calls.append(a.shape)
-        return numpy_kernel(a)
-
-    kernels._bareiss_rank_numpy = counted
-
-    rows = [[1, 2, 3], [2, 4, 6], [1, 0, 1]]
-    assert kernels.rank_int64(np.array(rows, dtype=np.int64), backend="numba") == 2
-    assert kernels.exact_integer_rank(rows) == 2
-    assert kernels.exact_integer_rank(rows, backend="numba") == 2
-    assert len(numpy_calls) == 3, numpy_calls
-
-    near_guard = kernels._GUARD - 1
-    rows = [[near_guard, near_guard - 1], [near_guard - 2, near_guard - 5]]
-    a = np.array(rows, dtype=np.int64)
-    assert kernels.rank_int64(a, backend="numba") == kernels.OVERFLOW
-    assert kernels.exact_integer_rank(rows) == 2
-    assert kernels.exact_integer_rank(rows, backend="numba") == 2
-    """
-)
-
-
-def test_numba_available_here():
-    # HAVE_NUMBA must report numba exactly when it imports; a broken numba
-    # install fails the import below, a failed compile fails the calls.
-    importable = importlib.util.find_spec("numba") is not None
-    if importable:
-        import numba  # noqa: F401
-    assert kernels.HAVE_NUMBA == importable
-    if kernels.HAVE_NUMBA:
-        a = np.array([[2, 4, 1], [1, 3, 0], [3, 7, 1]], dtype=np.int64)
-        assert kernels._bareiss_rank_numba(a.copy()) == 2
-        assert kernels.rank_int64(a.copy(), backend="numba") == 2
-
-    # Without numba every RAUZYLAB_KERNELS value must fall back to the exact
-    # numpy path.  A subprocess keeps the blocked import away from the
-    # kernels module already loaded here.
-    src = os.path.dirname(os.path.dirname(os.path.abspath(rauzylab.__file__)))
-    for choice in (None, "numba", "numpy"):
-        env = dict(os.environ)
-        env.pop("RAUZYLAB_KERNELS", None)
-        if choice is not None:
-            env["RAUZYLAB_KERNELS"] = choice
-        proc = subprocess.run(
-            [sys.executable, "-c", _NO_NUMBA_SCRIPT, src],
-            env=env,
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0, f"RAUZYLAB_KERNELS={choice}:\n{proc.stderr}"
-
-
 @given(matrices)
 @settings(max_examples=100, deadline=None)
 def test_backends_agree(rows):
-    a = np.array(rows, dtype=np.int64)
-    r_numpy = kernels.rank_int64(a.copy(), backend="numpy")
-    r_numba = kernels.rank_int64(a.copy(), backend="numba")
+    # the int64 kernel against the bigint reference elimination
+    r_int64 = kernels.rank_int64(np.array(rows, dtype=np.int64))
     r_big = kernels._bareiss_rank_bigint([list(r) for r in rows])
-    assert r_numpy == r_numba == r_big
+    assert r_int64 == r_big
 
 
 def test_overflow_sentinel_and_escalation():
     near_guard = kernels._GUARD - 1
     rows = [[near_guard, near_guard - 1], [near_guard - 2, near_guard - 5]]
     a = np.array(rows, dtype=np.int64)
-    assert kernels.rank_int64(a.copy(), backend="numpy") == kernels.OVERFLOW
-    assert kernels.rank_int64(a.copy(), backend="numba") == kernels.OVERFLOW
+    assert kernels.rank_int64(a.copy()) == kernels.OVERFLOW
     # the dispatcher must escalate and still give the exact answer
     assert kernels.exact_integer_rank(rows) == 2
 
 
 def test_unguarded_input_is_rejected_up_front():
     over = np.array([[kernels._GUARD + 1]], dtype=np.int64)
-    assert kernels.rank_int64(over.copy(), backend="numpy") == kernels.OVERFLOW
-    assert kernels.rank_int64(over.copy(), backend="numba") == kernels.OVERFLOW
+    assert kernels.rank_int64(over.copy()) == kernels.OVERFLOW
     assert kernels.exact_integer_rank([[kernels._GUARD + 1]]) == 1
 
 
@@ -159,9 +53,8 @@ def test_column_skipping_zero_columns():
     assert kernels.exact_integer_rank(rows) == 2
 
 
-@pytest.mark.parametrize("backend", ["numba", "numpy"])
-def test_wide_and_tall_shapes(backend):
+def test_wide_and_tall_shapes():
     wide = np.array([[1, 2, 3, 4, 5]], dtype=np.int64)
     tall = wide.T.copy()
-    assert kernels.rank_int64(wide.copy(), backend=backend) == 1
-    assert kernels.rank_int64(tall.copy(), backend=backend) == 1
+    assert kernels.rank_int64(wide.copy()) == 1
+    assert kernels.rank_int64(tall.copy()) == 1

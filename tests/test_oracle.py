@@ -4,6 +4,7 @@ import pytest
 
 from rauzylab import (
     InvalidRuleError,
+    InvariantViolationError,
     NonConvergenceError,
     RandomSubstitution,
     fibonacci_number,
@@ -14,13 +15,18 @@ from rauzylab import (
     subwords,
     verify_fibonacci_identity,
 )
+from rauzylab import oracle
 from rauzylab.oracle import _legal_subwords_generic
 
 from conftest import brute_factors, brute_generation, brute_legal
 
-# complexity values confirmed by two independent algorithms (generation
-# recursion and window closure) and by brute enumeration up to length 13
+# complexity values confirmed by two independent algorithms (desubstitution
+# step and window closure) and by brute enumeration up to length 13
 EXPECTED_P = [2, 4, 7, 13, 22, 39, 67, 108, 183, 305, 510, 851, 1356, 2238]
+
+THUE_MORSE = RandomSubstitution(
+    name="thue-morse", alphabet=("a", "b"), rules=(("a", ("ab",)), ("b", ("ba",)))
+)
 
 
 def test_fibonacci_number_convention():
@@ -78,9 +84,41 @@ def test_legal_subwords_equal_brute_stabilisation(fib):
 
 
 def test_legal_subwords_equal_window_closure(fib):
-    # a structurally different second algorithm over the same rule
-    for m in range(1, 13):
-        assert legal_subwords(fib, m).as_set() == _legal_subwords_generic(fib, m, 64), m
+    # a structurally different second algorithm over the same rule; the
+    # desubstitution step takes over from m = 8 (fib), 6 (noble) and 5 (Thue-Morse)
+    rules = (fib, noble_means_rule(2), noble_means_rule(3), noble_means_rule(4), THUE_MORSE)
+    for rule in rules:
+        for m in range(1, 13):
+            expected = _legal_subwords_generic(rule, m, 64)
+            assert legal_subwords(rule, m).as_set() == expected, (rule.name, m)
+
+
+def test_desubstitution_step_reaches_length_fourteen(fib, monkeypatch):
+    # window closure is allowed only at short lengths, so p(14) must come
+    # from the step applied to shorter lengths
+    closure = _legal_subwords_generic
+
+    def short_only(rule, m, cap):
+        assert m < 8, f"window closure used at m = {m}"
+        return closure(rule, m, cap)
+
+    monkeypatch.setattr(oracle, "_legal_subwords_generic", short_only)
+    oracle._legal_subword_set.cache_clear()
+    try:
+        assert len(legal_subwords(fib, 14)) == EXPECTED_P[13]
+    finally:
+        oracle._legal_subword_set.cache_clear()
+
+
+def test_non_extendable_language_raises():
+    # from the seed b the language is {b}: F_3 is empty, so the step's
+    # length test holds vacuously, but b has no legal right extension
+    frozen = RandomSubstitution(
+        name="frozen", alphabet=("a", "b"), rules=(("a", ("a",)), ("b", ("b",)))
+    )
+    assert legal_subwords(frozen, 1).as_set() == {"b"}
+    with pytest.raises(InvariantViolationError):
+        legal_subwords(frozen, 4)
 
 
 def test_complexity_table_frozen(fib):
@@ -154,10 +192,7 @@ def test_low_cap_raises_non_convergence(fib):
 
 def test_window_closure_matches_known_deterministic_languages():
     # Thue-Morse complexity starts 2,4,6,10,12,16,20,22 (classical values)
-    tm = RandomSubstitution(
-        name="thue-morse", alphabet=("a", "b"), rules=(("a", ("ab",)), ("b", ("ba",)))
-    )
-    assert [len(legal_subwords(tm, m)) for m in range(1, 9)] == [2, 4, 6, 10, 12, 16, 20, 22]
+    assert [len(legal_subwords(THUE_MORSE, m)) for m in range(1, 9)] == [2, 4, 6, 10, 12, 16, 20, 22]
     # deterministic Fibonacci word is Sturmian: p(m) = m + 1
     det = RandomSubstitution(
         name="det-fib", alphabet=("a", "b"), rules=(("a", ("ab",)), ("b", ("a",)))
