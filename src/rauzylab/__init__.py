@@ -41,7 +41,6 @@ from .oracle import (
     generation_set,
     is_legal,
     legal_subwords,
-    set_default_generation_cap,
     verify_fibonacci_identity,
 )
 from .rational import RationalMatrix

@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import __version__, oracle
+from . import __version__
 from .cohomology import stage_report
 from .complexity import (
     complexity,
@@ -49,13 +49,10 @@ class RunConfig:
     fmt: str
     seed: int | None
     output_dir: Path | None
-    generation_cap: int
 
     def __post_init__(self) -> None:
         if self.max_n < 1:
             raise ValueError("--max-n must be >= 1")
-        if self.generation_cap < self.max_n + 2:
-            raise ValueError("--generation-cap must be at least max_n + 2")
 
 
 def _load_rule(args: argparse.Namespace) -> RandomSubstitution:
@@ -66,16 +63,13 @@ def _load_rule(args: argparse.Namespace) -> RandomSubstitution:
 
 def _config(args: argparse.Namespace, max_n: int) -> RunConfig:
     out = os.environ.get("RAUZYLAB_OUT") or getattr(args, "out", None)
-    cfg = RunConfig(
+    return RunConfig(
         rule=_load_rule(args),
         max_n=max_n,
         fmt=getattr(args, "format", "csv"),
         seed=getattr(args, "seed", None),
         output_dir=Path(out) if out else None,
-        generation_cap=args.generation_cap,
     )
-    oracle.set_default_generation_cap(cfg.generation_cap)
-    return cfg
 
 
 def _csv(lines: list[list[object]]) -> str:
@@ -294,7 +288,6 @@ def cmd_report(args: argparse.Namespace) -> int:
 def _add_rule_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rule", default="fib", help="built-in rule name: fib or noble:m")
     p.add_argument("--rule-file", default=None, help="path to a JSON rule specification")
-    p.add_argument("--generation-cap", type=int, default=64, help="window-closure round cap (short lengths only)")
 
 
 def build_parser() -> argparse.ArgumentParser:

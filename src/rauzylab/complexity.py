@@ -10,6 +10,7 @@ four corners occur, weak when only two, neutral when three.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import DomainError, InvariantViolationError
 from .oracle import legal_subwords
@@ -53,24 +54,32 @@ class ExtensionTable:
         return len(self.corners)
 
 
-def extension_table(rule: RandomSubstitution, v: str) -> ExtensionTable:
-    """Exact left/right/corner extension sets of a legal factor."""
-    n = len(v)
-    if v not in legal_subwords(rule, n):
-        raise DomainError(f"{v!r} is not a legal factor")
+def _extension_tables(rule: RandomSubstitution, n: int) -> Iterator[ExtensionTable]:
+    """Yield the extension table of every legal length-n factor, in canonical order.
+
+    F_n, F_{n+1} and F_{n+2} are fetched once for the whole length.
+    """
+    letters = rule.alphabet
     ext = legal_subwords(rule, n + 1)
     corner_set = legal_subwords(rule, n + 2)
-    letters = rule.alphabet
-    left = tuple(x for x in letters if x + v in ext)
-    right = tuple(y for y in letters if v + y in ext)
-    corners = tuple((x, y) for x in letters for y in letters if x + v + y in corner_set)
-    table = ExtensionTable(word=v, left=left, right=right, corners=corners)
-    if not table.corners:
-        raise InvariantViolationError(f"legal factor {v!r} has no legal corner extension")
-    for x, y in table.corners:
-        if x not in left or y not in right:
-            raise InvariantViolationError(f"corner ({x}, {y}) of {v!r} outside extension sets")
-    return table
+    for v in legal_subwords(rule, n):
+        left = tuple(x for x in letters if x + v in ext)
+        right = tuple(y for y in letters if v + y in ext)
+        corners = tuple((x, y) for x in letters for y in letters if x + v + y in corner_set)
+        if not corners:
+            raise InvariantViolationError(f"legal factor {v!r} has no legal corner extension")
+        for x, y in corners:
+            if x not in left or y not in right:
+                raise InvariantViolationError(f"corner ({x}, {y}) of {v!r} outside extension sets")
+        yield ExtensionTable(word=v, left=left, right=right, corners=corners)
+
+
+def extension_table(rule: RandomSubstitution, v: str) -> ExtensionTable:
+    """Exact left/right/corner extension sets of a legal factor."""
+    for table in _extension_tables(rule, len(v)):
+        if table.word == v:
+            return table
+    raise DomainError(f"{v!r} is not a legal factor")
 
 
 @dataclass(frozen=True)
@@ -97,13 +106,12 @@ def specials_report(rule: RandomSubstitution, n: int) -> SpecialsReport:
     """
     if n < 1:
         raise ValueError("length must be >= 1")
-    words = legal_subwords(rule, n)
-    p = len(words)
+    p = complexity(rule, n)
     s = first_difference(rule, n)
     rights, lefts, bis = [], [], []
     strong = weak = neutral = 0
-    for v in words:
-        table = extension_table(rule, v)
+    for table in _extension_tables(rule, n):
+        v = table.word
         if table.is_right_special:
             rights.append(v)
         if table.is_left_special:
@@ -144,9 +152,7 @@ def branching_excess(rule: RandomSubstitution, n: int) -> int:
     Equals s(n) on any alphabet; reported rather than asserted for
     alphabets larger than two.
     """
-    return sum(
-        len(extension_table(rule, v).right) - 1 for v in legal_subwords(rule, n)
-    )
+    return sum(len(table.right) - 1 for table in _extension_tables(rule, n))
 
 
 def verify_bispecial_identity(rule: RandomSubstitution, n: int) -> bool:
@@ -162,10 +168,7 @@ def verify_no_weak_bispecials(rule: RandomSubstitution, n: int) -> bool:
     True iff every bispecial has at least three legal corners and every
     right (left) special admits a common left (right) extension letter.
     """
-    words = legal_subwords(rule, n)
-    letters = rule.alphabet
-    for v in words:
-        table = extension_table(rule, v)
+    for table in _extension_tables(rule, n):
         if table.is_bispecial and table.corner_count < 3:
             return False
         corners = set(table.corners)

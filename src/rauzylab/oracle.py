@@ -42,40 +42,23 @@ __all__ = [
 #: upper bound on window-closure rounds before giving up
 DEFAULT_GENERATION_CAP = 64
 
-_generation_cap = DEFAULT_GENERATION_CAP
 
-
-def set_default_generation_cap(cap: int) -> None:
-    """Raise or lower the stabilisation cap used when none is passed."""
-    global _generation_cap
-    if cap < 3:
-        raise ValueError("generation cap must be >= 3")
-    _generation_cap = cap
-
-
-#: largest generation index memoised by generation_set
-GENERATION_MEMO_CAP = 22
-
-
-@lru_cache(maxsize=None)
 def fibonacci_number(n: int) -> int:
     """f_1 = f_2 = 1, f_n = f_{n-1} + f_{n-2}."""
     if n < 1:
         raise ValueError("index must be >= 1")
-    if n <= 2:
-        return 1
-    return fibonacci_number(n - 1) + fibonacci_number(n - 2)
-
-
-_generation_memo: dict[tuple[RandomSubstitution, int], WordSet] = {}
+    a, b = 1, 1
+    for _ in range(n - 1):
+        a, b = b, a + b
+    return a
 
 
 def generation_set(rule: RandomSubstitution, n: int) -> WordSet:
     """The exact set of generation-n inflated words (Fibonacci rule only).
 
     A_1 = {b}, A_2 = {a}; higher generations follow the two-sided
-    concatenation recursion.  Sizes grow super-exponentially, so results
-    are memoised only up to generation ``GENERATION_MEMO_CAP``.
+    concatenation recursion A_k = A_{k-1} A_{k-2} | A_{k-2} A_{k-1}.
+    Sizes grow super-exponentially, so keep n small.
     """
     if not has_fibonacci_support(rule):
         raise InvalidRuleError(
@@ -86,22 +69,12 @@ def generation_set(rule: RandomSubstitution, n: int) -> WordSet:
         raise ValueError("generation index must be >= 0")
     if n == 0:
         return WordSet(())
-    key = (rule, n)
-    cached = _generation_memo.get(key)
-    if cached is not None:
-        return cached
     if n == 1:
-        result = WordSet.from_iterable(["b"])
-    elif n == 2:
-        result = WordSet.from_iterable(["a"])
-    else:
-        left, right = generation_set(rule, n - 1), generation_set(rule, n - 2)
-        result = WordSet.from_iterable(
-            [u + v for u in left for v in right] + [v + u for u in left for v in right]
-        )
-    if n <= GENERATION_MEMO_CAP:
-        _generation_memo[key] = result
-    return result
+        return WordSet.from_iterable(["b"])
+    older, newer = {"b"}, {"a"}
+    for _ in range(n - 2):
+        older, newer = newer, {u + v for u in newer for v in older} | {v + u for u in newer for v in older}
+    return WordSet.from_iterable(newer)
 
 
 def _inflation_windows(rule: RandomSubstitution, v: str, m: int) -> set[str]:
@@ -142,18 +115,18 @@ def _legal_subwords_generic(rule: RandomSubstitution, m: int, cap: int) -> froze
     raise NonConvergenceError(f"window sets did not stabilise within {cap} generations")
 
 
-def _check_extendable(rule: RandomSubstitution, k: int, cap: int) -> None:
+def _check_extendable(rule: RandomSubstitution, k: int) -> None:
     """Raise unless every legal word shorter than k extends to a legal k-word."""
     for j in range(1, k):
-        prefixes = {w[:-1] for w in _legal_subword_set(rule, j + 1, cap)}
-        if not _legal_subword_set(rule, j, cap) <= prefixes:
+        prefixes = {w[:-1] for w in _legal_subword_set(rule, j + 1)}
+        if not _legal_subword_set(rule, j) <= prefixes:
             raise InvariantViolationError(
                 f"rule {rule.name!r} has a legal {j}-word with no legal right extension"
             )
 
 
 @lru_cache(maxsize=None)
-def _legal_subword_set(rule: RandomSubstitution, m: int, cap: int) -> frozenset[str]:
+def _legal_subword_set(rule: RandomSubstitution, m: int) -> frozenset[str]:
     """F_m by one desubstitution step from F_K, or by window closure.
 
     K is the least length in [3, m) at which every legal K-word's interior
@@ -161,31 +134,28 @@ def _legal_subword_set(rule: RandomSubstitution, m: int, cap: int) -> frozenset[
     """
     shortest = {ch: min(map(len, rule.realizations(ch))) for ch in rule.alphabet}
     for k in range(3, m):
-        base = _legal_subword_set(rule, k, cap)
+        base = _legal_subword_set(rule, k)
         if all(sum(shortest[ch] for ch in w[1:-1]) >= m - 1 for w in base):
-            _check_extendable(rule, k, cap)
+            _check_extendable(rule, k)
             out: set[str] = set()
             for v in base:
                 out |= _inflation_windows(rule, v, m)
             return frozenset(out)
-    return _legal_subwords_generic(rule, m, cap)
+    return _legal_subwords_generic(rule, m, DEFAULT_GENERATION_CAP)
 
 
-def legal_subwords(
-    rule: RandomSubstitution, m: int, generation_cap: int | None = None
-) -> WordSet:
+def legal_subwords(rule: RandomSubstitution, m: int) -> WordSet:
     """F_m: the set of legal length-m factors of the rule's language."""
     if m < 1:
         raise ValueError("factor length must be >= 1")
-    cap = _generation_cap if generation_cap is None else generation_cap
-    return WordSet.from_iterable(_legal_subword_set(rule, m, cap))
+    return WordSet.from_iterable(_legal_subword_set(rule, m))
 
 
 def is_legal(rule: RandomSubstitution, w: str) -> bool:
     """Whether ``w`` occurs as a factor of the language."""
     if not w:
         raise InvalidWordError("word must be nonempty")
-    return w in _legal_subword_set(rule, len(w), _generation_cap)
+    return w in _legal_subword_set(rule, len(w))
 
 
 @dataclass(frozen=True)

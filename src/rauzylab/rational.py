@@ -10,9 +10,8 @@ no tolerance parameter anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -165,7 +164,12 @@ class RationalMatrix:
     def rank(self) -> int:
         if self.rows == 0 or self.cols == 0:
             return 0
-        return _cached_rank(self)
+        arr = self._int64()
+        if arr is not None:
+            result = kernels.rank_int64(arr.copy())
+            if result != kernels.OVERFLOW:
+                return result
+        return kernels.exact_integer_rank(self._integer_rows())
 
     def column_rank_full(self) -> bool:
         return self.rank() == self.cols
@@ -200,17 +204,3 @@ class RationalMatrix:
                 vec[pc] = _normalize(-rows[r_idx][c])
             basis.append(tuple(vec))
         return tuple(basis)
-
-
-@lru_cache(maxsize=32)
-def _cached_rank(matrix: RationalMatrix) -> int:
-    arr = matrix._int64()
-    if arr is not None:
-        result = kernels.rank_int64(arr.copy())
-        if result != kernels.OVERFLOW:
-            return result
-    return kernels.exact_integer_rank(matrix._integer_rows())
-
-
-def rank_of_rows(rows: Sequence[Sequence[Rational]]) -> int:
-    return RationalMatrix(rows).rank()

@@ -10,7 +10,6 @@ n is odd, on vertex words and edge words alike.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 from .errors import DomainError, InvariantViolationError
@@ -41,9 +40,6 @@ class RauzyGraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def vertex_index(self, word: str) -> int:
-        return self.vertices.index(word)
-
     def out_degrees(self) -> list[int]:
         degs = [0] * self.vertex_count
         for e in self.edges:
@@ -69,7 +65,6 @@ class SimpleDigraph:
         return len(self.edges)
 
 
-@lru_cache(maxsize=None)
 def build_rauzy(rule: RandomSubstitution, n: int) -> RauzyGraph:
     """Construct the stage-n graph with canonically ordered cells."""
     if n < 1:
@@ -166,7 +161,6 @@ def _drop(word: str, n: int) -> str:
     return word[:-1] if n % 2 == 0 else word[1:]
 
 
-@lru_cache(maxsize=None)
 def projection(rule: RandomSubstitution, n: int) -> ProjectionMap:
     """Build the parity-determined letter-drop map between stages n+1 and n.
 

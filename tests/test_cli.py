@@ -182,9 +182,3 @@ def test_cohomology_invariant_failure_exits_nonzero(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "cohomology", "--max-n", "2")
     assert code == 1
     assert "synthetic failure" in err
-
-
-def test_bad_generation_cap_fails_cleanly(capsys):
-    code, _, err = run_cli(capsys, "complexity", "--max-n", "10", "--generation-cap", "5")
-    assert code == 1
-    assert "generation-cap" in err

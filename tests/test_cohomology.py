@@ -8,6 +8,7 @@ from rauzylab import (
     Edge,
     InvariantViolationError,
     ProjectionMap,
+    RandomSubstitution,
     RationalMatrix,
     RauzyGraph,
     SimpleDigraph,
@@ -18,6 +19,7 @@ from rauzylab import (
     first_difference,
     h1_rank,
     induced_h1_map,
+    noble_means_rule,
     projection,
     pullback_matrices,
     quotient_h0,
@@ -25,6 +27,14 @@ from rauzylab import (
     specials_report,
     stage_report,
     verify_commutation,
+)
+from rauzylab import cohomology
+
+THUE_MORSE = RandomSubstitution(
+    name="thue-morse", alphabet=("a", "b"), rules=(("a", ("ab",)), ("b", ("ba",)))
+)
+PERIOD_DOUBLING = RandomSubstitution(
+    name="period-doubling", alphabet=("a", "b"), rules=(("a", ("ab",)), ("b", ("aa",)))
 )
 
 
@@ -187,6 +197,43 @@ def test_stage_report_consistency(fib):
     assert rep.induced_injective
     assert rep.h0_quotient_dim == 0
     assert rep.vertices == complexity(fib, 4)
+
+
+def test_stage_report_equals_dense_reference(fib):
+    # stage_report computes one rank per stage and takes the rest from
+    # structure; every field must equal the dense eliminations, including
+    # the stages where the bonding map is not injective
+    non_injective = {}
+    cases = ((fib, 9), (noble_means_rule(2), 8), (THUE_MORSE, 8), (PERIOD_DOUBLING, 8))
+    for rule, max_n in cases:
+        for n in range(1, max_n + 1):
+            rep = stage_report(rule, n)
+            proj = projection(rule, n)
+            m0, m1 = pullback_matrices(proj)
+            assert rep.h1_rank == h1_rank(proj.target), (rule.name, n)
+            assert (rep.induced_map_rank, rep.induced_injective) == induced_h1_map(proj), (rule.name, n)
+            assert rep.h0_quotient_dim == quotient_h0(proj), (rule.name, n)
+            assert rep.h1_quotient_dim == quotient_h1(proj), (rule.name, n)
+            assert rep.pullback_injective_on_cochains == (m0.column_rank_full() and m1.column_rank_full())
+            assert verify_commutation(proj), (rule.name, n)
+            if not rep.induced_injective:
+                non_injective.setdefault(rule.name, []).append(n)
+    assert non_injective == {"thue-morse": [3, 6], "period-doubling": [2, 5]}
+
+
+def test_stage_report_rejects_disconnected_source(fib, monkeypatch):
+    # three loops on one vertex, covered by two one-vertex components: the
+    # cell maps are surjective and commute, and h1 = 3 = s(1) + 1, but
+    # rank D_s = 0, not V_s - 1, so the structural induced rank would be wrong
+    source = SimpleDigraph(vertex_count=2, edges=(Edge(None, 0, 0), Edge(None, 0, 0), Edge(None, 1, 1)))
+    target = SimpleDigraph(vertex_count=1, edges=(Edge(None, 0, 0),) * 3)
+    proj = ProjectionMap(n=1, parity="odd", source=source, target=target, vertex_map=(0, 0), edge_map=(0, 1, 2))
+    assert verify_commutation(proj)
+    assert coboundary_matrix(source).rank() == 0
+    assert induced_h1_map(proj) == (3, True)
+    monkeypatch.setattr(cohomology, "projection", lambda rule, n: proj)
+    with pytest.raises(InvariantViolationError, match="stage-2 graph is not strongly connected"):
+        stage_report(fib, 1)
 
 
 def shuffled_copy(g: RauzyGraph, seed: int):

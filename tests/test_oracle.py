@@ -187,7 +187,7 @@ def test_identity_rejects_small_stage(fib):
 
 def test_low_cap_raises_non_convergence(fib):
     with pytest.raises(NonConvergenceError):
-        legal_subwords(fib, 10, generation_cap=5)
+        _legal_subwords_generic(fib, 10, 5)
 
 
 def test_window_closure_matches_known_deterministic_languages():
