@@ -2,14 +2,29 @@
 
 The dense functions build the coboundaries D and the 0/1 fiber-indicator
 pullbacks M0, M1 and take every rank by exact elimination; they are the
-reference.  ``stage_report`` computes one rank per stage, C = rank [M1 | D_s],
-and takes the other four from structure, each checked where it arises:
-rank D = V - 1 on both stage graphs (both are checked strongly connected);
-rank M0 = V_t and rank M1 = E_t, and D_s M0 = M1 D_t, because ``projection``
-raises unless both cell maps are surjective and commute with tail and head.
+reference.  ``stage_report`` runs no elimination.  Four ranks come from
+structure, each checked where it arises: rank D = V - 1 on both stage
+graphs (both are checked strongly connected); rank M0 = V_t and
+rank M1 = E_t, and D_s M0 = M1 D_t, because ``projection`` raises unless
+both cell maps are surjective and commute with tail and head.
+
+The fifth, C = rank [M1 | D_s], is a graph-component count.  Row e of
+[M1 | D_s] is a unit at the image edge beside the coboundary row
+head(e) - tail(e).  Group the source edges by image; the first edge e0 of
+each group is its pivot, and pivoting on its M1 unit is unimodular, so the
+pivots give rank E_t and clear the M1 block from the rest of the group.
+There the row left is (head(e) - tail(e)) - (head(e0) - tail(e0)).  Every
+edge fiber of the letter-drop map is a star: its edges share their head
+(n odd, the first letter is dropped) or their tail (n even), so that row is
+the difference of two source vertices, and a fiber that is not a star
+raises.  The rows left thus form the incidence matrix R of a graph on the
+V_s source vertices, of rank V_s - components, and
+C = E_t + V_s - components.
+
 So h1 = E_t - V_t + 1, the induced rank is C - (V_s - 1), h0_quotient =
-V_s - V_t + E_t - C and h1_quotient = E_s - C.  Reference: Sadun,
-*Topology of Tiling Spaces* (AMS 2008), ch. 2-3.
+V_s - V_t + E_t - C = components - V_t, which is 0 exactly when each vertex
+fiber is joined by the star rows, and h1_quotient = E_s - C.  Reference:
+Sadun, *Topology of Tiling Spaces* (AMS 2008), ch. 2-3.
 """
 
 from __future__ import annotations
@@ -20,7 +35,7 @@ from typing import NamedTuple
 from .complexity import first_difference, specials_report
 from .errors import InvariantViolationError
 from .rational import RationalMatrix
-from .rauzy import ProjectionMap, RauzyGraph, SimpleDigraph, projection, strongly_connected
+from .rauzy import Edge, ProjectionMap, RauzyGraph, SimpleDigraph, projection, strongly_connected
 from .rules import RandomSubstitution
 
 Graph = RauzyGraph | SimpleDigraph
@@ -154,13 +169,48 @@ class CohomologyReport:
             raise InvariantViolationError(f"stage {self.n}: inconsistent injectivity flag")
 
 
+def _combined_rank(proj: ProjectionMap) -> int:
+    """C = rank [M1 | D_s] by union-find over the edge fibers.
+
+    Each fiber's first edge is its pivot; every other edge e of the fiber
+    joins two source vertices, its tail to the pivot's tail when the two
+    share their head, or its head to the pivot's head when they share
+    their tail.  C is the pivot count plus V_s minus the components.
+    """
+    parent = list(range(proj.source.vertex_count))
+
+    def find(u: int) -> int:
+        while parent[u] != u:
+            parent[u] = parent[parent[u]]
+            u = parent[u]
+        return u
+
+    pivots: dict[int, Edge] = {}
+    joins = 0
+    for e, image in zip(proj.source.edges, proj.edge_map):
+        e0 = pivots.setdefault(image, e)  # the pivot itself joins nothing
+        if e.head == e0.head:
+            u, w = find(e.tail), find(e0.tail)
+        elif e.tail == e0.tail:
+            u, w = find(e.head), find(e0.head)
+        else:
+            raise InvariantViolationError(
+                f"edge fiber over stage-{proj.n} edge {image} is not a star"
+            )
+        if u != w:
+            parent[u] = w
+            joins += 1
+    return len(pivots) + joins
+
+
 def stage_report(rule: RandomSubstitution, n: int) -> CohomologyReport:
     """All cochain-level facts for stage n and its projection from stage n+1.
 
-    One elimination, C = rank [M1 | D_s]; surjectivity, commutation and
-    strong connectivity of both stage graphs are checked and give the other
-    ranks, as the module docstring explains.  h1 = s(n)+1 is checked by
-    ``CohomologyReport``.
+    No elimination: C = rank [M1 | D_s] is the pivot count E_t plus the
+    rank V_s - components of the incidence matrix that the star-shaped
+    edge fibers leave; surjectivity, commutation and strong connectivity of
+    both stage graphs are checked and give the other ranks, as the module
+    docstring explains.  h1 = s(n)+1 is checked by ``CohomologyReport``.
     """
     proj = projection(rule, n)
     source, target = proj.source, proj.target
@@ -168,16 +218,7 @@ def stage_report(rule: RandomSubstitution, n: int) -> CohomologyReport:
         if not strongly_connected(g):
             raise InvariantViolationError(f"stage-{stage} graph is not strongly connected")
     h1 = target.edge_count - target.vertex_count + 1
-    # row e of [M1 | D_s]: a 1 at the image edge, then +1 at head(e), -1 at tail(e)
-    offset = target.edge_count
-    rows = []
-    for e, image in zip(source.edges, proj.edge_map):
-        row = [0] * (offset + source.vertex_count)
-        row[image] = 1
-        row[offset + e.head] += 1
-        row[offset + e.tail] -= 1
-        rows.append(row)
-    combined_rank = RationalMatrix.from_int_rows(rows).rank()
+    combined_rank = _combined_rank(proj)
     induced_rank = combined_rank - (source.vertex_count - 1)
     return CohomologyReport(
         n=n,

@@ -28,13 +28,18 @@ from rauzylab import (
     stage_report,
     verify_commutation,
 )
-from rauzylab import cohomology
+from rauzylab import cohomology, kernels
 
 THUE_MORSE = RandomSubstitution(
     name="thue-morse", alphabet=("a", "b"), rules=(("a", ("ab",)), ("b", ("ba",)))
 )
 PERIOD_DOUBLING = RandomSubstitution(
     name="period-doubling", alphabet=("a", "b"), rules=(("a", ("ab",)), ("b", ("aa",)))
+)
+THREE_LETTER = RandomSubstitution(
+    name="abc-cba",
+    alphabet=("a", "b", "c"),
+    rules=(("a", ("abc", "cba")), ("b", ("ac",)), ("c", ("b",))),
 )
 
 
@@ -204,7 +209,13 @@ def test_stage_report_equals_dense_reference(fib):
     # structure; every field must equal the dense eliminations, including
     # the stages where the bonding map is not injective
     non_injective = {}
-    cases = ((fib, 9), (noble_means_rule(2), 8), (THUE_MORSE, 8), (PERIOD_DOUBLING, 8))
+    cases = (
+        (fib, 9),
+        (noble_means_rule(2), 8),
+        (THUE_MORSE, 8),
+        (PERIOD_DOUBLING, 8),
+        (THREE_LETTER, 6),
+    )
     for rule, max_n in cases:
         for n in range(1, max_n + 1):
             rep = stage_report(rule, n)
@@ -218,7 +229,7 @@ def test_stage_report_equals_dense_reference(fib):
             assert verify_commutation(proj), (rule.name, n)
             if not rep.induced_injective:
                 non_injective.setdefault(rule.name, []).append(n)
-    assert non_injective == {"thue-morse": [3, 6], "period-doubling": [2, 5]}
+    assert non_injective == {"thue-morse": [3, 6], "period-doubling": [2, 5], "abc-cba": [6]}
 
 
 def test_stage_report_rejects_disconnected_source(fib, monkeypatch):
@@ -234,6 +245,36 @@ def test_stage_report_rejects_disconnected_source(fib, monkeypatch):
     monkeypatch.setattr(cohomology, "projection", lambda rule, n: proj)
     with pytest.raises(InvariantViolationError, match="stage-2 graph is not strongly connected"):
         stage_report(fib, 1)
+
+
+def test_stage_report_rejects_non_star_fiber(fib, monkeypatch):
+    # both edges of the two-cycle 0 -> 1 -> 0 map onto one loop, so they
+    # share neither head nor tail; both graphs are strongly connected, the
+    # cell maps are surjective and commute, and h1 = 3 = s(1) + 1, but the
+    # fiber's row in [M1 | D_s] is not a vertex difference: the dense
+    # induced rank is 3, while a union-find that skipped the fiber would
+    # report 2
+    loop = Edge(None, 0, 0)
+    source = SimpleDigraph(vertex_count=2, edges=(Edge(None, 0, 1), Edge(None, 1, 0), loop, loop))
+    target = SimpleDigraph(vertex_count=1, edges=(loop,) * 3)
+    proj = ProjectionMap(n=1, parity="odd", source=source, target=target, vertex_map=(0, 0), edge_map=(0, 0, 1, 2))
+    assert verify_commutation(proj)
+    assert induced_h1_map(proj) == (3, True)
+    monkeypatch.setattr(cohomology, "projection", lambda rule, n: proj)
+    with pytest.raises(InvariantViolationError, match="is not a star"):
+        stage_report(fib, 1)
+
+
+def test_stage_report_runs_no_elimination(fib, monkeypatch):
+    def no_elimination(*args, **kwargs):
+        raise AssertionError("stage_report ran an elimination")
+
+    monkeypatch.setattr(RationalMatrix, "rank", no_elimination)
+    monkeypatch.setattr(kernels, "rank_int64", no_elimination)
+    monkeypatch.setattr(kernels, "exact_integer_rank", no_elimination)
+    for rule, max_n in ((fib, 10), (noble_means_rule(2), 8)):
+        for n in range(1, max_n + 1):
+            assert stage_report(rule, n).induced_injective, (rule.name, n)
 
 
 def shuffled_copy(g: RauzyGraph, seed: int):
