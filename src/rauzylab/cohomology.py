@@ -23,8 +23,18 @@ C = E_t + V_s - components.
 
 So h1 = E_t - V_t + 1, the induced rank is C - (V_s - 1), h0_quotient =
 V_s - V_t + E_t - C = components - V_t, which is 0 exactly when each vertex
-fiber is joined by the star rows, and h1_quotient = E_s - C.  Reference:
-Sadun, *Topology of Tiling Spaces* (AMS 2008), ch. 2-3.
+fiber is joined by the star rows, and h1_quotient = E_s - C.
+
+Over Z: the pivots are unimodular row and column operations, and R, with
+one +1 and one -1 in each nonzero row, is totally unimodular, so every
+nonzero invariant factor of [M1 | D_s] is 1.  Its cokernel, the quotient
+H^1(stage n+1; Z) / M1 H^1(stage n; Z), is free of rank E_s - C.  Where the
+induced maps are also injective, each H^1(stage n; Z) is a direct summand
+of the next, so the direct limit Ȟ^1 is free abelian of countable rank,
+infinite since h1 = s(n)+1 grows without bound.  This rests on the star
+check: a fiber that is not a star can leave torsion.  References: Sadun,
+*Topology of Tiling Spaces* (AMS 2008), ch. 2-3; Anderson & Putnam,
+ETDS 18 (1998).
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
 """Exact rational matrices.
 
 Entries are Python ints or Fractions (ints wherever the denominator is
-1, which keeps the common 0/±1 cochain matrices cheap).  Rank goes
-through the integer kernels after clearing denominators row by row;
-kernel bases and products stay in exact arithmetic throughout.  There is
-no tolerance parameter anywhere.
+1, which keeps the common 0/±1 cochain matrices cheap).  Rank clears the
+denominators row by row and runs the sparse elimination of ``kernels``;
+products skip zero entries, and kernel bases stay in exact arithmetic
+throughout.  There is no tolerance parameter anywhere.
 """
 
 from __future__ import annotations
@@ -12,8 +12,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 from typing import Iterable
-
-import numpy as np
 
 from . import kernels
 
@@ -30,7 +28,7 @@ def _normalize(value) -> Rational:
 class RationalMatrix:
     """An immutable exact-arithmetic matrix."""
 
-    __slots__ = ("rows", "cols", "entries", "_all_int", "_np64")
+    __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries: Iterable[Iterable[Rational]]):
         grid = tuple(tuple(_normalize(x) for x in row) for row in entries)
@@ -41,14 +39,12 @@ class RationalMatrix:
         object.__setattr__(self, "cols", len(grid[0]) if grid else 0)
 
     @classmethod
-    def _build(cls, grid: tuple[tuple[Rational, ...], ...], all_int: bool | None = None) -> "RationalMatrix":
+    def _build(cls, grid: tuple[tuple[Rational, ...], ...]) -> "RationalMatrix":
         """Internal constructor for rows already in normalized form."""
         self = object.__new__(cls)
         object.__setattr__(self, "entries", grid)
         object.__setattr__(self, "rows", len(grid))
         object.__setattr__(self, "cols", len(grid[0]) if grid else 0)
-        if all_int is not None:
-            object.__setattr__(self, "_all_int", all_int)
         return self
 
     def __setattr__(self, name, value):
@@ -56,19 +52,15 @@ class RationalMatrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RationalMatrix":
-        return cls._build(tuple((0,) * cols for _ in range(rows)), all_int=True)
+        return cls._build(tuple((0,) * cols for _ in range(rows)))
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        return cls._build(
-            tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), all_int=True
-        )
+        return cls._build(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
     @classmethod
     def from_int_rows(cls, rows: Iterable[Iterable[int]]) -> "RationalMatrix":
-        return cls._build(tuple(tuple(int(x) for x in row) for row in rows), all_int=True)
-
-    from_int_array = from_int_rows
+        return cls._build(tuple(tuple(int(x) for x in row) for row in rows))
 
     def __getitem__(self, key: tuple[int, int]) -> Rational:
         i, j = key
@@ -89,36 +81,10 @@ class RationalMatrix:
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
-    def is_integer(self) -> bool:
-        try:
-            return self._all_int
-        except AttributeError:
-            flag = all(type(x) is int for row in self.entries for x in row)
-            object.__setattr__(self, "_all_int", flag)
-            return flag
-
-    def max_abs(self) -> int:
-        vals = (abs(x) for row in self.entries for x in row)
-        return max(vals, default=0)
-
-    def _int64(self) -> np.ndarray | None:
-        """Cached int64 image, or None when entries do not fit the guard."""
-        try:
-            return self._np64
-        except AttributeError:
-            arr = None
-            if self.is_integer() and self.rows and self.max_abs() <= kernels._GUARD:
-                arr = np.array(self.entries, dtype=np.int64)
-            object.__setattr__(self, "_np64", arr)
-            return arr
-
     def hstack(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.rows != other.rows:
             raise ValueError("row counts differ")
-        return RationalMatrix._build(
-            tuple(a + b for a, b in zip(self.entries, other.entries)),
-            all_int=self.is_integer() and other.is_integer(),
-        )
+        return RationalMatrix._build(tuple(a + b for a, b in zip(self.entries, other.entries)))
 
     def transpose(self) -> "RationalMatrix":
         if not self.rows:
@@ -128,18 +94,17 @@ class RationalMatrix:
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
             raise ValueError("inner dimensions differ")
-        # int64 fast path: exact provided no intermediate can overflow
-        a, b = self._int64(), other._int64()
-        if a is not None and b is not None:
-            bound = self.cols * max(int(np.abs(a).max(initial=0)), 1) * max(
-                int(np.abs(b).max(initial=0)), 1
-            )
-            if bound < (1 << 62):
-                return RationalMatrix.from_int_rows((a @ b).tolist())
-        cols = list(zip(*other.entries)) if other.entries else []
-        return RationalMatrix(
-            [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in self.entries]
-        )
+        # other's nonzero entries, row by row; zero entries of self are skipped too
+        sparse = [[(j, y) for j, y in enumerate(row) if y] for row in other.entries]
+        product = []
+        for row in self.entries:
+            acc = [0] * other.cols
+            for x, terms in zip(row, sparse):
+                if x:
+                    for j, y in terms:
+                        acc[j] += x * y
+            product.append(acc)
+        return RationalMatrix(product)
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.shape != other.shape:
@@ -151,24 +116,13 @@ class RationalMatrix:
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.entries for x in row)
 
-    def _integer_rows(self) -> list[list[int]]:
-        """Row-scaled copy with all denominators cleared (rank-preserving)."""
-        if self.is_integer():
-            return [list(row) for row in self.entries]
-        out = []
+    def _integer_rows(self):
+        """Each row scaled by the lcm of its denominators (rank-preserving)."""
         for row in self.entries:
-            denom = lcm(*(x.denominator for x in row if type(x) is not int), 1)
-            out.append([int(x * denom) for x in row])
-        return out
+            denom = lcm(*(x.denominator for x in row))
+            yield row if denom == 1 else [int(x * denom) for x in row]
 
     def rank(self) -> int:
-        if self.rows == 0 or self.cols == 0:
-            return 0
-        arr = self._int64()
-        if arr is not None:
-            result = kernels.rank_int64(arr.copy())
-            if result != kernels.OVERFLOW:
-                return result
         return kernels.exact_integer_rank(self._integer_rows())
 
     def column_rank_full(self) -> bool:

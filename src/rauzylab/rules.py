@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import itertools
 import json
+import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
-
-import numpy as np
 
 from .errors import ConfigurationError, InvalidRuleError, InvalidWordError
 from .words import WordSet
@@ -199,26 +199,27 @@ def sample_inflation(rule: RandomSubstitution, w: str, k: int, seed: int) -> str
     """Apply k rounds of local random inflation to ``w``, deterministically.
 
     Each letter occurrence draws its realization independently from the
-    rule's probability vector.  Draws come from a single PCG64 stream
-    seeded with ``seed``; letters with a unique realization consume no
-    draws, so runs with the same seed agree on every shared choice
-    regardless of k.
+    rule's probability vector, by an exact integer draw: with q the lcm of
+    the vector's denominators, r = randrange(q) picks the realization whose
+    slice of the cumulative sums p*q holds r, so a realization of
+    probability p is drawn for exactly p*q of the q values.  Draws come
+    from a single ``random.Random`` stream seeded with ``seed``; letters
+    with a unique realization consume no draws, so runs with the same seed
+    agree on every shared choice regardless of k.
     """
     _check_word(rule, w)
     if k < 0:
         raise InvalidWordError("inflation round count must be >= 0")
     if not rule.has_probabilities:
         raise ConfigurationError("sampling needs probability vectors")
-    cumulative: dict[str, list[float]] = {}
+    if seed < 0:
+        raise ConfigurationError("seed must be >= 0")
+    draws: dict[str, tuple[int, list[int]]] = {}
     for ch in rule.alphabet:
         vec = rule.probability_vector(ch)
-        acc, total = [], Fraction(0)
-        for p in vec:
-            total += p
-            acc.append(float(total))
-        acc[-1] = 1.0
-        cumulative[ch] = acc
-    rng = np.random.default_rng(seed)
+        q = lcm(*(p.denominator for p in vec))
+        draws[ch] = (q, list(itertools.accumulate(int(p * q) for p in vec)))
+    rng = random.Random(seed)
     word = w
     for _ in range(k):
         parts = []
@@ -227,7 +228,7 @@ def sample_inflation(rule: RandomSubstitution, w: str, k: int, seed: int) -> str
             if len(options) == 1:
                 parts.append(options[0])
             else:
-                idx = bisect_right(cumulative[ch], rng.random())
-                parts.append(options[min(idx, len(options) - 1)])
+                q, acc = draws[ch]
+                parts.append(options[bisect_right(acc, rng.randrange(q))])
         word = "".join(parts)
     return word

@@ -175,3 +175,26 @@ def test_sample_choice_frequency_matches_probability(fib):
     hits = sum(sample_inflation(fib, "b", 2, seed) == "ba" for seed in range(10_000))
     # binomial: 4 sigma around p = 1/2 at 10^4 draws
     assert abs(hits / 10_000 - 0.5) <= 0.02
+
+
+def test_sample_draws_are_exact_integer_slices():
+    # probabilities (0, 1/3, 2/3): the draw is randrange(3) against the
+    # cumulative sums (0, 1, 3), so the zero-probability realization is never
+    # drawn and "ba" takes exactly one of the three values
+    rule = rule_from_json(
+        {
+            "alphabet": ["a", "b"],
+            "rules": {"a": [["a", "b"], ["b", "a"], ["b", "b"]], "b": [["a"]]},
+            "probabilities": {"a": ["0", "1/3", "2/3"], "b": ["1"]},
+        }
+    )
+    seeds = 3000
+    draws = [sample_inflation(rule, "a", 1, seed) for seed in range(seeds)]
+    assert "ab" not in draws
+    sigma = (seeds * (1 / 3) * (2 / 3)) ** 0.5
+    assert abs(draws.count("ba") - seeds / 3) <= 4 * sigma
+
+
+def test_sample_rejects_negative_seed(fib):
+    with pytest.raises(ConfigurationError, match="seed"):
+        sample_inflation(fib, "b", 1, -1)
