@@ -50,14 +50,27 @@ def test_backends_agree(rows):
     assert kernels.exact_integer_rank(rows) == _bareiss_rank_bigint([list(r) for r in rows])
 
 
+def test_overflow_sentinel_and_escalation():
+    # entries near 2**30, whose Bareiss products once left the int64 range and
+    # made the int64 kernel return an OVERFLOW sentinel and escalate to bigints;
+    # the one exact rank has no sentinel and returns the true rank directly
+    assert not hasattr(kernels, "OVERFLOW")
+    near = 2**30 - 1
+    assert kernels.exact_integer_rank([[near, near - 1], [near - 2, near - 5]]) == 2
+
+
+def test_unguarded_input_is_rejected_up_front():
+    # an entry past the former int64 magnitude guard (2**30) is no longer
+    # turned away before elimination: it is ranked exactly like any other
+    assert not hasattr(kernels, "_GUARD")
+    assert kernels.exact_integer_rank([[2**30 + 1]]) == 1
+    assert kernels.exact_integer_rank([[2**30 + 1, 2**31], [2**31, 2**32]]) == 2
+
+
 def test_exact_rank_beyond_int64():
     big = 2**80
     assert kernels.exact_integer_rank([[big, big], [big, big]]) == 1
     assert kernels.exact_integer_rank([[big, 0], [1, big]]) == 2
-    # entries near 2**30, whose Bareiss products once left the int64 range
-    near = 2**30 - 1
-    assert kernels.exact_integer_rank([[near, near - 1], [near - 2, near - 5]]) == 2
-    assert kernels.exact_integer_rank([[2**30 + 1]]) == 1
 
 
 def test_empty_and_zero_matrices():
