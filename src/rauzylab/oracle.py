@@ -1,21 +1,32 @@
 """The factor language of a random substitution.
 
 ``legal_subwords`` computes F_m, the set of legal length-m factors, by one
-routine for every rule: one desubstitution step from a shorter length K.
+routine for every rule.  It rests on L(theta^k) = L(theta) for a primitive
+theta (Rust & Spindeler, *Dynamical systems arising from random
+substitutions*, Indag. Math. 2018): a word is legal exactly when it is a
+factor of one realization of theta(w) for a legal word w.
 
-A legal m-word w lies in one inflation of a legal word; take a shortest
-such word v.  The inflated interior of v (all letters but the first and
-the last) lies inside w, so it has at most m-2 letters.  Once every legal
-K-word's interior inflates to at least m-1 letters, even with each
-letter's shortest realization, |v| < K, and v extends to a legal K-word.
-So F_m is the set of length-m windows of one inflation of F_K.  The step
-assumes that every legal word shorter than K extends to a legal K-word;
-that is checked on F_1..F_K, and a rule that breaks it raises.
+F_1..F_3 are seeds from window closure, which inflates windows from a seed
+letter until they stop changing, within a cap on the number of rounds.
+From m = 4 on, the corner step builds F_m from F_{m-1}.  Every legal
+m-word is xvy with xv and vy in F_{m-1}.  If v has exactly one right
+extension, or exactly one left extension, then xvy is legal for every such
+x and y, by bi-extendability; so only the corners of bispecial v need a
+decision.  A corner is parsed into blocks of theta: a nonempty suffix of a
+realization, whole realizations, and a nonempty prefix of a realization.
+The preimage is looked up in a shorter F_j.  A preimage as long as the
+corner arises only through 1-letter realizations and is parsed in turn,
+at most k levels deep, where k is the least power at which every
+realization of theta^k has at least 2 letters.  A parse at that depth has
+at most m/2 + 1 blocks, so a length-m preimage there is a bug and raises.
 
-Where no such K < m exists (short lengths), window closure inflates
-windows from a seed letter until they stop changing, within a cap on the
-number of rounds.  Reference: Rust & Spindeler, *Dynamical systems arising
-from random substitutions* (Indag. Math. 2018).
+Both preconditions are checked, never assumed: the rule must be primitive
+(some power of its letter-incidence matrix is positive), else
+``InvalidRuleError``; and the language must be extendable, which
+primitivity gives and which is checked on the seeds and on every F_{m-1}
+the step reads, else ``InvariantViolationError``.  A rule with no such k
+(a chain of 1-letter realizations at every power, as in a -> ab|b,
+b -> a) keeps window closure at every length.
 """
 
 from __future__ import annotations
@@ -115,33 +126,143 @@ def _legal_subwords_generic(rule: RandomSubstitution, m: int, cap: int) -> froze
     raise NonConvergenceError(f"window sets did not stabilise within {cap} generations")
 
 
-def _check_extendable(rule: RandomSubstitution, k: int) -> None:
-    """Raise unless every legal word shorter than k extends to a legal k-word."""
-    for j in range(1, k):
-        prefixes = {w[:-1] for w in _legal_subword_set(rule, j + 1)}
-        if not _legal_subword_set(rule, j) <= prefixes:
-            raise InvariantViolationError(
-                f"rule {rule.name!r} has a legal {j}-word with no legal right extension"
-            )
+def _extensions(
+    rule: RandomSubstitution, shorter: frozenset[str], longer: frozenset[str]
+) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
+    """Right and left extensions in ``longer`` (F_{j+1}) of each word of ``shorter`` (F_j).
+
+    Raises unless every word of F_j extends on both sides and every word of
+    F_{j+1} has its prefix and suffix in F_j.
+    """
+    rights: dict[str, list[str]] = {}
+    lefts: dict[str, list[str]] = {}
+    for w in longer:
+        rights.setdefault(w[:-1], []).append(w[-1])
+        lefts.setdefault(w[1:], []).append(w[0])
+    if not rights.keys() == lefts.keys() == shorter:
+        raise InvariantViolationError(
+            f"rule {rule.name!r} has a legal word with no legal extension on one side"
+        )
+    return rights, lefts
+
+
+def _check_primitive(rule: RandomSubstitution) -> None:
+    """Raise unless some power of the letter-incidence matrix is positive.
+
+    By Wielandt's bound a primitive d x d matrix has a positive power
+    (d-1)^2 + 1, and every later power is positive too, so that one power
+    decides.
+    """
+    letters = frozenset(rule.alphabet)
+    step = {a: frozenset("".join(rule.realizations(a))) for a in rule.alphabet}
+    reach = step
+    for _ in range((len(letters) - 1) ** 2):
+        reach = {a: frozenset().union(*(step[c] for c in r)) for a, r in reach.items()}
+    if any(r != letters for r in reach.values()):
+        raise InvalidRuleError(
+            f"rule {rule.name!r} is not primitive: no power of its letter-incidence matrix is positive"
+        )
+
+
+def _desubstitution_depth(rule: RandomSubstitution) -> int | None:
+    """The least k at which every realization of theta^k has at least 2 letters.
+
+    Only shortest lengths are tracked: shortest[a] is the length of a's
+    shortest theta^k realization.  The letters where it is 1 form a
+    shrinking set, which is empty after len(alphabet) rounds or never, so
+    None means the rule has no such k.
+    """
+    shortest = dict.fromkeys(rule.alphabet, 1)
+    for k in range(1, len(rule.alphabet) + 1):
+        shortest = {a: min(sum(shortest[c] for c in r) for r in rule.realizations(a)) for a in rule.alphabet}
+        if min(shortest.values()) >= 2:
+            return k
+    return None
+
+
+def _corner_step(rule: RandomSubstitution, built: list[frozenset[str]], k: int) -> frozenset[str]:
+    """F_m from built[j] = F_j for j < m, deciding only the corners of bispecials.
+
+    Every legal m-word is xvy with xv and vy in F_{m-1}.  If v has one
+    right extension y, every legal xv extends, and only by y, so xvy is
+    legal for every x; the same holds with one left extension.  The other
+    xvy, the corners of bispecial v, are decided by ``decide``.
+    """
+    m = len(built)
+    rights, lefts = _extensions(rule, built[m - 2], built[m - 1])
+    realizations = [(a, r) for a in rule.alphabet for r in rule.realizations(a)]
+    longest = max(len(r) for _, r in realizations)
+    blocks: dict[str, list[tuple[str, str, int]]] = {}
+    heads: dict[str, dict[tuple[str, str], None]] = {}
+    for a, r in realizations:
+        blocks.setdefault(r[0], []).append((a, r, len(r)))
+        for i in range(len(r)):
+            heads.setdefault(r[i], {})[a, r[i:]] = None
+
+    def decide(u: str, level: int) -> bool:
+        """Whether u is a factor of a realization of theta(w) for a legal w.
+
+        A shortest such w parses u into blocks: a nonempty suffix of a
+        realization of w's first letter, whole realizations, and a nonempty
+        prefix of a realization of its last letter.  Each preimage prefix
+        is looked up in the shorter F_j.  A preimage of length m, which
+        only 1-letter realizations give, is decided by parsing it in turn.
+        """
+        if m <= longest and any(u in r for _, r in realizations):
+            return True
+        stack = [(len(s), a) for a, s in heads.get(u[0], ()) if len(s) < m and u.startswith(s)]
+        while stack:
+            pos, pre = stack.pop()
+            left = m - pos
+            for a, r, n in blocks.get(u[pos], ()):
+                if n < left:
+                    if u.startswith(r, pos) and (w := pre + a) in built[len(w)]:
+                        stack.append((pos + n, w))
+                elif r.startswith(u[pos:]):
+                    w = pre + a
+                    if len(w) < m:
+                        if w in built[len(w)]:
+                            return True
+                    elif level == k:
+                        raise InvariantViolationError(
+                            f"rule {rule.name!r}: a length-{m} preimage after {k} desubstitution levels"
+                        )
+                    elif decide(w, level + 1):
+                        return True
+        return False
+
+    out: set[str] = set()
+    for v, ys in rights.items():
+        xs = lefts[v]
+        if len(xs) == 1 or len(ys) == 1:
+            out.update(x + v + y for x in xs for y in ys)
+        else:
+            out.update(u for x in xs for y in ys if decide(u := x + v + y, 1))
+    return frozenset(out)
 
 
 @lru_cache(maxsize=None)
 def _legal_subword_set(rule: RandomSubstitution, m: int) -> frozenset[str]:
-    """F_m by one desubstitution step from F_K, or by window closure.
+    """F_m: the seeds F_1..F_3 by window closure, then the corner step.
 
-    K is the least length in [3, m) at which every legal K-word's interior
-    inflates to at least m-1 letters; without one, window closure is used.
+    Primitivity is checked before any F_m, and the seeds' extendability
+    before the first step (m = 4).  The step reads F_1..F_{m-1} as locals
+    and parses corners at most k levels deep, k from
+    ``_desubstitution_depth``; a rule with no such k stays on window
+    closure.
     """
-    shortest = {ch: min(map(len, rule.realizations(ch))) for ch in rule.alphabet}
-    for k in range(3, m):
-        base = _legal_subword_set(rule, k)
-        if all(sum(shortest[ch] for ch in w[1:-1]) >= m - 1 for w in base):
-            _check_extendable(rule, k)
-            out: set[str] = set()
-            for v in base:
-                out |= _inflation_windows(rule, v, m)
-            return frozenset(out)
-    return _legal_subwords_generic(rule, m, DEFAULT_GENERATION_CAP)
+    _check_primitive(rule)
+    k = _desubstitution_depth(rule)
+    if m <= 3 or k is None:
+        # the seeds F_1..F_3, and every F_m of a rule with no such k
+        # (a chain of 1-letter realizations at every power), come from
+        # window closure
+        return _legal_subwords_generic(rule, m, DEFAULT_GENERATION_CAP)
+    built = [frozenset([""])] + [_legal_subword_set(rule, j) for j in range(1, m)]
+    if m == 4:
+        # the step checks F_2 -> F_3 and every later pair; this is the first
+        _extensions(rule, built[1], built[2])
+    return _corner_step(rule, built, k)
 
 
 def legal_subwords(rule: RandomSubstitution, m: int) -> WordSet:

@@ -165,6 +165,21 @@ def test_rule_file_loading(capsys, tmp_path):
     assert out.splitlines()[3] == "3,7,6,3,0,6,6"
 
 
+def test_non_primitive_rule_file_fails_cleanly(capsys, tmp_path):
+    # c is never produced by a or b: no power of the incidence matrix is
+    # positive, so there is no p(n) to print
+    payload = {
+        "alphabet": ["a", "b", "c"],
+        "rules": {"a": [["a", "b"], ["b", "a"]], "b": [["a"]], "c": [["c", "a"]]},
+    }
+    path = tmp_path / "stray.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "complexity", "--rule-file", str(path), "--max-n", "4")
+    assert code == 1
+    assert out == ""
+    assert "not primitive" in err
+
+
 def test_unknown_rule_fails_cleanly(capsys):
     code, _, err = run_cli(capsys, "complexity", "--rule", "nope")
     assert code == 1

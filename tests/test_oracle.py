@@ -20,12 +20,32 @@ from rauzylab.oracle import _legal_subwords_generic
 
 from conftest import brute_factors, brute_generation, brute_legal
 
-# complexity values confirmed by two independent algorithms (desubstitution
-# step and window closure) and by brute enumeration up to length 13
+# complexity values confirmed by two independent algorithms (corner step
+# and window closure) and by brute enumeration up to length 13
 EXPECTED_P = [2, 4, 7, 13, 22, 39, 67, 108, 183, 305, 510, 851, 1356, 2238]
 
 THUE_MORSE = RandomSubstitution(
     name="thue-morse", alphabet=("a", "b"), rules=(("a", ("ab",)), ("b", ("ba",)))
+)
+PERIOD_DOUBLING = RandomSubstitution(
+    name="period-doubling", alphabet=("a", "b"), rules=(("a", ("ab",)), ("b", ("aa",)))
+)
+DET_FIB = RandomSubstitution(
+    name="det-fib", alphabet=("a", "b"), rules=(("a", ("ab",)), ("b", ("a",)))
+)
+THREE_LETTER = RandomSubstitution(
+    name="three-letter",
+    alphabet=("a", "b", "c"),
+    rules=(("a", ("abc", "cba")), ("b", ("ac",)), ("c", ("b",))),
+)
+# b -> c -> a is a chain of 1-letter realizations, so k = 3
+DEPTH_THREE = RandomSubstitution(
+    name="depth-three",
+    alphabet=("a", "b", "c"),
+    rules=(("a", ("ab", "ca")), ("b", ("c",)), ("c", ("a", "bc"))),
+)
+NO_DEPTH = RandomSubstitution(
+    name="no-depth", alphabet=("a", "b"), rules=(("a", ("ab", "b")), ("b", ("a",)))
 )
 
 
@@ -85,12 +105,26 @@ def test_legal_subwords_equal_brute_stabilisation(fib):
 
 def test_legal_subwords_equal_window_closure(fib):
     # a structurally different second algorithm over the same rule; the
-    # desubstitution step takes over from m = 8 (fib), 6 (noble) and 5 (Thue-Morse)
-    rules = (fib, noble_means_rule(2), noble_means_rule(3), noble_means_rule(4), THUE_MORSE)
+    # corner step takes over from m = 4 on every rule with a desubstitution
+    # depth k, which covers all of these (k = 1, 2 or 3)
+    rules = (
+        fib,
+        noble_means_rule(2),
+        noble_means_rule(3),
+        noble_means_rule(4),
+        noble_means_rule(5),
+        THUE_MORSE,
+        PERIOD_DOUBLING,
+        DET_FIB,
+        THREE_LETTER,
+    )
     for rule in rules:
         for m in range(1, 13):
             expected = _legal_subwords_generic(rule, m, 64)
             assert legal_subwords(rule, m).as_set() == expected, (rule.name, m)
+    for m in range(1, 9):
+        expected = _legal_subwords_generic(DEPTH_THREE, m, 64)
+        assert legal_subwords(DEPTH_THREE, m).as_set() == expected, (DEPTH_THREE.name, m)
 
 
 def test_desubstitution_step_reaches_length_fourteen(fib, monkeypatch):
@@ -110,15 +144,82 @@ def test_desubstitution_step_reaches_length_fourteen(fib, monkeypatch):
         oracle._legal_subword_set.cache_clear()
 
 
+def test_corner_step_reaches_length_sixteen(fib, monkeypatch):
+    # only the seeds F_1..F_3 may come from window closure
+    closure = _legal_subwords_generic
+
+    def seeds_only(rule, m, cap):
+        if m >= 4:
+            raise AssertionError(f"window closure used at m = {m}")
+        return closure(rule, m, cap)
+
+    monkeypatch.setattr(oracle, "_legal_subwords_generic", seeds_only)
+    oracle._legal_subword_set.cache_clear()
+    try:
+        assert len(legal_subwords(fib, 15)) == 3652
+        assert len(legal_subwords(fib, 16)) == 5988
+    finally:
+        oracle._legal_subword_set.cache_clear()
+
+
+def test_desubstitution_depth(fib):
+    # the least k at which every realization of theta^k has 2 letters
+    assert oracle._desubstitution_depth(fib) == 2
+    assert oracle._desubstitution_depth(noble_means_rule(5)) == 2
+    assert oracle._desubstitution_depth(THUE_MORSE) == 1
+    assert oracle._desubstitution_depth(PERIOD_DOUBLING) == 1
+    assert oracle._desubstitution_depth(DEPTH_THREE) == 3
+    assert oracle._desubstitution_depth(NO_DEPTH) is None
+
+
+def test_rule_without_depth_keeps_window_closure():
+    # a -> b -> a is a 1-letter chain at every power, so no k exists;
+    # window closure runs at every length and must fail loudly there
+    assert legal_subwords(NO_DEPTH, 1).as_set() == {"a", "b"}
+    for m in (2, 4, 6):
+        with pytest.raises(NonConvergenceError):
+            legal_subwords(NO_DEPTH, m)
+
+
+def test_full_length_preimage_at_depth_k_raises(fib, monkeypatch):
+    # with k understated as 1, fib's 1-letter realization b -> a yields a
+    # length-m preimage at the last level allowed; that is a bug, not an
+    # illegal word, so the oracle raises instead of answering False
+    monkeypatch.setattr(oracle, "_desubstitution_depth", lambda rule: 1)
+    oracle._legal_subword_set.cache_clear()
+    try:
+        with pytest.raises(InvariantViolationError, match="preimage"):
+            legal_subwords(fib, 4)
+    finally:
+        oracle._legal_subword_set.cache_clear()
+
+
+def test_seed_extendability_is_checked(fib, monkeypatch):
+    # without bba, the legal 2-word bb has no right extension in F_3; with
+    # F_2 = {aa} and F_3 = {aaa}, F_2 extends within F_3 but the letter b
+    # has no extension in F_2.  The corner step must refuse both seed sets.
+    closure = _legal_subwords_generic
+    for broken in ({3: closure(fib, 3, 64) - {"bba"}}, {2: frozenset({"aa"}), 3: frozenset({"aaa"})}):
+        monkeypatch.setattr(
+            oracle, "_legal_subwords_generic", lambda rule, m, cap, broken=broken: broken.get(m) or closure(rule, m, cap)
+        )
+        oracle._legal_subword_set.cache_clear()
+        try:
+            with pytest.raises(InvariantViolationError, match="extension"):
+                legal_subwords(fib, 4)
+        finally:
+            oracle._legal_subword_set.cache_clear()
+
+
 def test_non_extendable_language_raises():
-    # from the seed b the language is {b}: F_3 is empty, so the step's
-    # length test holds vacuously, but b has no legal right extension
+    # from the seed b the language would be {b}, with no legal extension of
+    # b; the rule is not primitive, so the oracle rejects it before F_1
     frozen = RandomSubstitution(
         name="frozen", alphabet=("a", "b"), rules=(("a", ("a",)), ("b", ("b",)))
     )
-    assert legal_subwords(frozen, 1).as_set() == {"b"}
-    with pytest.raises(InvariantViolationError):
-        legal_subwords(frozen, 4)
+    for m in (1, 4):
+        with pytest.raises(InvalidRuleError, match="not primitive"):
+            legal_subwords(frozen, m)
 
 
 def test_complexity_table_frozen(fib):
@@ -194,10 +295,7 @@ def test_window_closure_matches_known_deterministic_languages():
     # Thue-Morse complexity starts 2,4,6,10,12,16,20,22 (classical values)
     assert [len(legal_subwords(THUE_MORSE, m)) for m in range(1, 9)] == [2, 4, 6, 10, 12, 16, 20, 22]
     # deterministic Fibonacci word is Sturmian: p(m) = m + 1
-    det = RandomSubstitution(
-        name="det-fib", alphabet=("a", "b"), rules=(("a", ("ab",)), ("b", ("a",)))
-    )
-    assert [len(legal_subwords(det, m)) for m in range(1, 11)] == list(range(2, 12))
+    assert [len(legal_subwords(DET_FIB, m)) for m in range(1, 11)] == list(range(2, 12))
 
 
 def test_noble_two_language_is_smaller_than_fibonacci(fib):
