@@ -5,6 +5,7 @@ from .cohomology import (
     CohomologyReport,
     DirectLimitReport,
     InducedMap,
+    Stage,
     coboundary_matrix,
     direct_limit_report,
     h1_rank,
@@ -13,6 +14,7 @@ from .cohomology import (
     quotient_h0,
     quotient_h1,
     stage_report,
+    stage_tower,
     verify_commutation,
 )
 from .complexity import (

@@ -40,12 +40,12 @@ ETDS 18 (1998).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
-from .complexity import first_difference, specials_report
+from .complexity import SpecialsReport, first_difference, specials_report
 from .errors import InvariantViolationError
 from .rational import RationalMatrix
-from .rauzy import Edge, ProjectionMap, RauzyGraph, SimpleDigraph, projection, strongly_connected
+from .rauzy import Edge, ProjectionMap, RauzyGraph, SimpleDigraph, _project, build_rauzy, projection, strongly_connected
 from .rules import RandomSubstitution
 
 Graph = RauzyGraph | SimpleDigraph
@@ -223,9 +223,16 @@ def stage_report(rule: RandomSubstitution, n: int) -> CohomologyReport:
     docstring explains.  h1 = s(n)+1 is checked by ``CohomologyReport``.
     """
     proj = projection(rule, n)
-    source, target = proj.source, proj.target
-    for stage, g in ((n + 1, source), (n, target)):
-        if not strongly_connected(g):
+    return _stage_report(rule, proj, strongly_connected(proj.source), strongly_connected(proj.target))
+
+
+def _stage_report(
+    rule: RandomSubstitution, proj: ProjectionMap, source_connected: bool, target_connected: bool
+) -> CohomologyReport:
+    """``stage_report`` from a projection and the two graphs' strong connectivity."""
+    n, source, target = proj.n, proj.source, proj.target
+    for stage, connected in ((n + 1, source_connected), (n, target_connected)):
+        if not connected:
             raise InvariantViolationError(f"stage-{stage} graph is not strongly connected")
     h1 = target.edge_count - target.vertex_count + 1
     combined_rank = _combined_rank(proj)
@@ -242,6 +249,42 @@ def stage_report(rule: RandomSubstitution, n: int) -> CohomologyReport:
         h0_quotient_dim=source.vertex_count - target.vertex_count + target.edge_count - combined_rank,
         h1_quotient_dim=source.edge_count - combined_rank,
     )
+
+
+class Stage:
+    """Stage n of the tower; each fact is computed when it is first asked for.
+
+    ``report`` builds the stage-(n+1) graph as its projection source, and
+    ``stage_tower`` hands that graph on to stage n+1, so each graph is built
+    and checked for strong connectivity once.
+    """
+
+    def __init__(self, rule: RandomSubstitution, n: int, graphs: dict[int, tuple[RauzyGraph, bool]]) -> None:
+        self.rule, self.n, self.graphs = rule, n, graphs  # stage -> (graph, strongly connected)
+
+    def _graph(self, n: int) -> tuple[RauzyGraph, bool]:
+        if n not in self.graphs:
+            g = build_rauzy(self.rule, n)
+            self.graphs[n] = g, strongly_connected(g)
+        return self.graphs[n]
+
+    graph = property(lambda self: self._graph(self.n)[0])
+    connected = property(lambda self: self._graph(self.n)[1])
+
+    def census(self) -> SpecialsReport:
+        return specials_report(self.rule, self.n)
+
+    def report(self) -> CohomologyReport:
+        (source, source_ok), (target, target_ok) = self._graph(self.n + 1), self._graph(self.n)
+        return _stage_report(self.rule, _project(source, target), source_ok, target_ok)
+
+
+def stage_tower(rule: RandomSubstitution, max_n: int) -> Iterator[Stage]:
+    """Stages 1..max_n in order, streamed: at most two graphs are alive at a time."""
+    graphs: dict[int, tuple[RauzyGraph, bool]] = {}
+    for n in range(1, max_n + 1):
+        graphs = {n: graphs[n]} if n in graphs else {}
+        yield Stage(rule, n, graphs)
 
 
 @dataclass(frozen=True)
@@ -267,13 +310,13 @@ def direct_limit_report(rule: RandomSubstitution, max_stage: int) -> DirectLimit
     if max_stage < 2:
         raise ValueError("need at least two stages")
     stages = []
-    for n in range(1, max_stage + 1):
-        report = stage_report(rule, n)
-        census = specials_report(rule, n)
+    for stage in stage_tower(rule, max_stage):
+        report = stage.report()
+        census = stage.census()
         expected_jump = census.strong_count - census.weak_count
         if report.h1_quotient_dim != expected_jump:
             raise InvariantViolationError(
-                f"stage {n}: quotient h1 {report.h1_quotient_dim} != "
+                f"stage {stage.n}: quotient h1 {report.h1_quotient_dim} != "
                 f"bispecial excess {expected_jump}"
             )
         stages.append(report)

@@ -60,8 +60,8 @@ def _extension_tables(rule: RandomSubstitution, n: int) -> Iterator[ExtensionTab
     F_n, F_{n+1} and F_{n+2} are fetched once for the whole length.
     """
     letters = rule.alphabet
-    ext = legal_subwords(rule, n + 1)
-    corner_set = legal_subwords(rule, n + 2)
+    ext = legal_subwords(rule, n + 1).as_set()
+    corner_set = legal_subwords(rule, n + 2).as_set()
     for v in legal_subwords(rule, n):
         left = tuple(x for x in letters if x + v in ext)
         right = tuple(y for y in letters if v + y in ext)
@@ -84,7 +84,8 @@ def extension_table(rule: RandomSubstitution, v: str) -> ExtensionTable:
 
 @dataclass(frozen=True)
 class SpecialsReport:
-    """Specials census for one factor length."""
+    """Specials census for one factor length, with the two identities that
+    the same extension-table pass decides."""
 
     n: int
     p: int
@@ -95,14 +96,18 @@ class SpecialsReport:
     strong_count: int
     weak_count: int
     neutral_count: int
+    bispecial_identity: bool
+    no_weak_bispecials: bool
 
 
 def specials_report(rule: RandomSubstitution, n: int) -> SpecialsReport:
-    """Classify every legal length-n factor by its extension table.
+    """Classify every legal length-n factor by its extension table, in one pass.
 
-    Raises if the census contradicts the binary counting identities
-    (s(n) equals the number of right specials and of left specials);
-    such a failure would signal a bug in the language oracle.
+    The same pass decides ``verify_bispecial_identity`` and
+    ``verify_no_weak_bispecials``.  Raises if the census contradicts the
+    binary counting identities (s(n) equals the number of right specials
+    and of left specials); such a failure would signal a bug in the
+    language oracle.
     """
     if n < 1:
         raise ValueError("length must be >= 1")
@@ -110,14 +115,18 @@ def specials_report(rule: RandomSubstitution, n: int) -> SpecialsReport:
     s = first_difference(rule, n)
     rights, lefts, bis = [], [], []
     strong = weak = neutral = 0
+    no_weak = True
     for table in _extension_tables(rule, n):
-        v = table.word
+        v, corners = table.word, table.corners
         if table.is_right_special:
             rights.append(v)
+            no_weak &= any(all((x, y) in corners for y in table.right) for x in table.left)
         if table.is_left_special:
             lefts.append(v)
+            no_weak &= any(all((x, y) in corners for x in table.left) for y in table.right)
         if table.is_bispecial:
             bis.append(v)
+            no_weak &= table.corner_count >= 3
             if table.corner_count == 4:
                 strong += 1
             elif table.corner_count == 2:
@@ -134,6 +143,8 @@ def specials_report(rule: RandomSubstitution, n: int) -> SpecialsReport:
         strong_count=strong,
         weak_count=weak,
         neutral_count=neutral,
+        bispecial_identity=first_difference(rule, n + 1) - s == strong - weak,
+        no_weak_bispecials=no_weak,
     )
     if strong + weak + neutral != len(report.bispecials):
         raise InvariantViolationError("bispecial classification does not partition")
@@ -157,9 +168,7 @@ def branching_excess(rule: RandomSubstitution, n: int) -> int:
 
 def verify_bispecial_identity(rule: RandomSubstitution, n: int) -> bool:
     """Check s(n+1) - s(n) == strong(n) - weak(n) with enumerated counts."""
-    report = specials_report(rule, n)
-    lhs = first_difference(rule, n + 1) - first_difference(rule, n)
-    return lhs == report.strong_count - report.weak_count
+    return specials_report(rule, n).bispecial_identity
 
 
 def verify_no_weak_bispecials(rule: RandomSubstitution, n: int) -> bool:
@@ -168,14 +177,4 @@ def verify_no_weak_bispecials(rule: RandomSubstitution, n: int) -> bool:
     True iff every bispecial has at least three legal corners and every
     right (left) special admits a common left (right) extension letter.
     """
-    for table in _extension_tables(rule, n):
-        if table.is_bispecial and table.corner_count < 3:
-            return False
-        corners = set(table.corners)
-        if table.is_right_special:
-            if not any(all((x, y) in corners for y in table.right) for x in table.left):
-                return False
-        if table.is_left_special:
-            if not any(all((x, y) in corners for x in table.left) for y in table.right):
-                return False
-    return True
+    return specials_report(rule, n).no_weak_bispecials

@@ -37,18 +37,7 @@ from typing import Callable
 
 from .errors import InvalidRuleError, InvalidWordError, InvariantViolationError, NonConvergenceError
 from .rules import RandomSubstitution, has_fibonacci_support
-from .words import WordSet, subwords
-
-__all__ = [
-    "fibonacci_number",
-    "generation_set",
-    "subwords",
-    "legal_subwords",
-    "is_legal",
-    "verify_fibonacci_identity",
-    "IdentityCheck",
-    "DEFAULT_GENERATION_CAP",
-]
+from .words import WordSet
 
 #: upper bound on window-closure rounds before giving up
 DEFAULT_GENERATION_CAP = 64
@@ -64,18 +53,24 @@ def fibonacci_number(n: int) -> int:
     return a
 
 
-def generation_set(rule: RandomSubstitution, n: int) -> WordSet:
-    """The exact set of generation-n inflated words (Fibonacci rule only).
-
-    A_1 = {b}, A_2 = {a}; higher generations follow the two-sided
-    concatenation recursion A_k = A_{k-1} A_{k-2} | A_{k-2} A_{k-1}.
-    Sizes grow super-exponentially, so keep n small.
-    """
+def _require_fibonacci_support(rule: RandomSubstitution) -> None:
     if not has_fibonacci_support(rule):
         raise InvalidRuleError(
             "the generation recursion is specific to the Fibonacci rule; "
             "use all_inflations iteration for other rules"
         )
+
+
+def generation_set(rule: RandomSubstitution, n: int) -> WordSet:
+    """The exact set of generation-n inflated words (Fibonacci rule only).
+
+    A_1 = {b}, A_2 = {a}; higher generations follow the two-sided
+    concatenation recursion A_k = A_{k-1} A_{k-2} | A_{k-2} A_{k-1}.
+    Sizes grow super-exponentially, so keep n small.  The pipeline never
+    builds A_n: the identity check takes its windows from
+    ``_generation_windows``, and this literal set is the tests' reference.
+    """
+    _require_fibonacci_support(rule)
     if n < 0:
         raise ValueError("generation index must be >= 0")
     if n == 0:
@@ -86,6 +81,47 @@ def generation_set(rule: RandomSubstitution, n: int) -> WordSet:
     for _ in range(n - 2):
         older, newer = newer, {u + v for u in newer for v in older} | {v + u for u in newer for v in older}
     return WordSet.from_iterable(newer)
+
+
+def _generation_windows(rule: RandomSubstitution, k: int, m: int) -> frozenset[str]:
+    """F(A_k, m), the length-m factors of the generation-k words, without building A_k.
+
+    A_j is the union of the full products A_{j-1} A_{j-2} and A_{j-2} A_{j-1},
+    and its words have length f_j.  So its m-windows are those of A_{j-1} and
+    A_{j-2}, and, at each seam, every length-i suffix of the first factor
+    followed by every length-(m-i) prefix of the second.  Prefix and suffix
+    sets follow the same recursion; a length-l one is a subset of F_l, and
+    the seams need only l < m, so no set is as large as A_k.
+    """
+    _require_fibonacci_support(rule)
+    f = [0] + [fibonacci_number(j) for j in range(1, k + 1)]
+    memo: dict[tuple[int, int, bool], set[str]] = {}
+
+    def ends(j: int, length: int, prefix: bool) -> set[str]:
+        """The length-``length`` prefixes (or suffixes) of the words of A_j."""
+        if j <= 2:
+            return {"ba"[j - 1]}  # A_1 = {b}, A_2 = {a}
+        key = (j, length, prefix)
+        if key not in memo:
+            out: set[str] = set()
+            for near, far in ((j - 1, j - 2), (j - 2, j - 1)):
+                # near: the factor at this end of the word; far: the other one
+                if length <= f[near]:
+                    out |= ends(near, length, prefix)
+                else:
+                    rest = ends(far, length - f[near], prefix)
+                    out.update(u + r if prefix else r + u for u in ends(near, f[near], prefix) for r in rest)
+            memo[key] = out
+        return memo[key]
+
+    windows = [set()] + [{letter} if m == 1 else set() for letter in "ba"]
+    for j in range(3, k + 1):
+        out = windows[j - 1] | windows[j - 2]
+        for x, y in ((j - 1, j - 2), (j - 2, j - 1)):
+            for i in range(max(1, m - f[y]), min(f[x], m - 1) + 1):
+                out.update(s + p for s in ends(x, i, False) for p in ends(y, m - i, True))
+        windows.append(out)
+    return frozenset(windows[k])
 
 
 def _inflation_windows(rule: RandomSubstitution, v: str, m: int) -> set[str]:
@@ -242,14 +278,14 @@ def _corner_step(rule: RandomSubstitution, built: list[frozenset[str]], k: int) 
 
 
 @lru_cache(maxsize=None)
-def _legal_subword_set(rule: RandomSubstitution, m: int) -> frozenset[str]:
+def _legal_subword_set(rule: RandomSubstitution, m: int) -> WordSet:
     """F_m: the seeds F_1..F_3 by window closure, then the corner step.
 
     Primitivity is checked before any F_m, and the seeds' extendability
     before the first step (m = 4).  The step reads F_1..F_{m-1} as locals
     and parses corners at most k levels deep, k from
     ``_desubstitution_depth``; a rule with no such k stays on window
-    closure.
+    closure.  Each F_m is sorted once, here, and served from this cache.
     """
     _check_primitive(rule)
     k = _desubstitution_depth(rule)
@@ -257,19 +293,19 @@ def _legal_subword_set(rule: RandomSubstitution, m: int) -> frozenset[str]:
         # the seeds F_1..F_3, and every F_m of a rule with no such k
         # (a chain of 1-letter realizations at every power), come from
         # window closure
-        return _legal_subwords_generic(rule, m, DEFAULT_GENERATION_CAP)
-    built = [frozenset([""])] + [_legal_subword_set(rule, j) for j in range(1, m)]
+        return WordSet.from_iterable(_legal_subwords_generic(rule, m, DEFAULT_GENERATION_CAP))
+    built = [frozenset([""])] + [_legal_subword_set(rule, j).as_set() for j in range(1, m)]
     if m == 4:
         # the step checks F_2 -> F_3 and every later pair; this is the first
         _extensions(rule, built[1], built[2])
-    return _corner_step(rule, built, k)
+    return WordSet.from_iterable(_corner_step(rule, built, k))
 
 
 def legal_subwords(rule: RandomSubstitution, m: int) -> WordSet:
     """F_m: the set of legal length-m factors of the rule's language."""
     if m < 1:
         raise ValueError("factor length must be >= 1")
-    return WordSet.from_iterable(_legal_subword_set(rule, m))
+    return _legal_subword_set(rule, m)
 
 
 def is_legal(rule: RandomSubstitution, w: str) -> bool:
@@ -298,20 +334,21 @@ def verify_fibonacci_identity(
     n: int,
     index_convention: Callable[[int], int] = fibonacci_number,
 ) -> IdentityCheck:
-    """Check F(A_{n+1}, f_n) == F_{f_n} with exact generation sets.
+    """Check F(A_{n+1}, f_n) == F_{f_n} with exact generation windows.
 
-    The index convention is a parameter so the one genuinely ambiguous
-    choice stays auditable; the default is f_1 = f_2 = 1.
+    The windows come from ``_generation_windows``, which never builds
+    A_{n+1}.  The index convention is a parameter so the one genuinely
+    ambiguous choice stays auditable; the default is f_1 = f_2 = 1.
     """
     if n < 4:
         raise ValueError("the identity is asserted for n >= 4")
     window = index_convention(n)
-    lhs = subwords(generation_set(rule, n + 1), window)
+    lhs = _generation_windows(rule, n + 1, window)
     rhs = legal_subwords(rule, window)
     return IdentityCheck(
         n=n,
         window=window,
         generation_size=len(lhs),
         oracle_size=len(rhs),
-        equal=lhs.as_set() == rhs.as_set(),
+        equal=lhs == rhs.as_set(),
     )

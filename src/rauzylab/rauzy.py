@@ -168,8 +168,12 @@ def projection(rule: RandomSubstitution, n: int) -> ProjectionMap:
     are the images of the original endpoints; violations abort, since for
     a factor language they cannot occur.
     """
-    source = build_rauzy(rule, n + 1)
-    target = build_rauzy(rule, n)
+    return _project(build_rauzy(rule, n + 1), build_rauzy(rule, n))
+
+
+def _project(source: RauzyGraph, target: RauzyGraph) -> ProjectionMap:
+    """``projection`` between two stage graphs already built."""
+    n = target.n
     v_index = {w: i for i, w in enumerate(target.vertices)}
     e_index = {e.word: i for i, e in enumerate(target.edges)}
     vertex_map = tuple(v_index[_drop(w, n)] for w in source.vertices)

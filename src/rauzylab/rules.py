@@ -85,10 +85,6 @@ class RandomSubstitution:
         """Realization support sets, order-insensitive."""
         return tuple(sorted((ch, frozenset(ws)) for ch, ws in self.rules))
 
-    @property
-    def is_deterministic(self) -> bool:
-        return all(len(ws) == 1 for _, ws in self.rules)
-
 
 def fibonacci_rule(p: Fraction | str | int = Fraction(1, 2)) -> RandomSubstitution:
     """The binary rule a -> {ba, ab} (probabilities p, 1-p), b -> a."""

@@ -30,7 +30,10 @@ class WordSet:
 
     @classmethod
     def from_iterable(cls, items: Iterable[str]) -> "WordSet":
-        return cls(tuple(sorted(set(items), key=canonical_key)))
+        members = frozenset(items)  # the same object when items is a frozenset
+        word_set = cls(tuple(sorted(members, key=canonical_key)))
+        object.__setattr__(word_set, "_members", members)  # seeds the cached property
+        return word_set
 
     @cached_property
     def _members(self) -> frozenset[str]:
@@ -50,12 +53,6 @@ class WordSet:
 
     def as_set(self) -> frozenset[str]:
         return self._members
-
-    def union(self, other: "WordSet") -> "WordSet":
-        return WordSet.from_iterable(self.words + other.words)
-
-    def issubset(self, other: "WordSet") -> bool:
-        return self._members <= other._members
 
 
 def subwords(source: WordSet | Iterable[str], m: int) -> WordSet:

@@ -1,10 +1,26 @@
 """Command-line surface: formats, determinism, exit codes."""
 
+import hashlib
+import importlib
 import json
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import rauzylab
+from rauzylab import cohomology, fibonacci_rule, legal_subwords, oracle
 from rauzylab.cli import main
+from rauzylab.words import WordSet
+
+census_module = importlib.import_module("rauzylab.complexity")  # the package exports a function of that name
+
+#: sha256 of the stdout of ``verify --rule fib --max-n 8``, pinned from the
+#: release before the stage tower
+VERIFY_FIB_8_SHA256 = "1d6ef441ec6dc77d9b386c64ca90a44d74a1a95639e57dd95087bab48f197de0"
 
 
 def run_cli(capsys, *argv):
@@ -188,12 +204,76 @@ def test_unknown_rule_fails_cleanly(capsys):
 
 def test_cohomology_invariant_failure_exits_nonzero(capsys, monkeypatch):
     from rauzylab import InvariantViolationError
-    from rauzylab import cli as cli_module
+    from rauzylab import cohomology
 
-    def broken_stage(rule, n):
+    def broken_stage(rule, proj, source_connected, target_connected):
         raise InvariantViolationError("stage 1: synthetic failure")
 
-    monkeypatch.setattr(cli_module, "stage_report", broken_stage)
+    monkeypatch.setattr(cohomology, "_stage_report", broken_stage)
     code, _, err = run_cli(capsys, "cohomology", "--max-n", "2")
     assert code == 1
     assert "synthetic failure" in err
+
+
+def test_verify_builds_each_stage_fact_once(capsys, monkeypatch):
+    sorts, graphs, checks, censuses = Counter(), Counter(), Counter(), Counter()
+    from_iterable = WordSet.from_iterable.__func__
+    build, connected, tables = cohomology.build_rauzy, cohomology.strongly_connected, census_module._extension_tables
+
+    def counted_sort(cls, items):
+        word_set = from_iterable(cls, items)
+        sorts[word_set.words] += 1
+        return word_set
+
+    def counted_build(rule, n):
+        graphs[n] += 1
+        return build(rule, n)
+
+    def counted_check(g):
+        checks[g.n] += 1
+        return connected(g)
+
+    def counted_tables(rule, n):
+        censuses[n] += 1
+        return tables(rule, n)
+
+    monkeypatch.setattr(WordSet, "from_iterable", classmethod(counted_sort))
+    monkeypatch.setattr(cohomology, "build_rauzy", counted_build)
+    monkeypatch.setattr(cohomology, "strongly_connected", counted_check)
+    monkeypatch.setattr(census_module, "_extension_tables", counted_tables)
+    oracle._legal_subword_set.cache_clear()  # so that every F_m is built, and sorted, in this run
+    code, out, _ = run_cli(capsys, "verify", "--rule", "fib", "--max-n", "8")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_FIB_8_SHA256
+    assert out.endswith("OK: 0 failing check(s) out of 77\n")
+    # F_1..F_13: the census and graphs read F_1..F_10, the identity at stage 7 reads F_13
+    languages = [legal_subwords(fibonacci_rule(), m).words for m in range(1, 14)]
+    assert all(sorts[words] == 1 for words in languages[1:])
+    # F_1 equals the stage-1 specials sets, so the total pins it: beyond one
+    # sort per F_m, only the census's three specials sets per stage are sorted
+    assert sum(sorts.values()) == len(languages) + 3 * 8
+    assert graphs == checks == Counter(range(1, 10))
+    assert censuses == Counter(range(1, 9))
+
+
+def test_outputs_do_not_depend_on_hash_seed():
+    # set iteration order varies with PYTHONHASHSEED; no output may
+    src = str(Path(rauzylab.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "RAUZYLAB_OUT"}
+    for argv in (
+        ["verify", "--max-n", "9"],
+        ["complexity", "--max-n", "10"],
+        ["cohomology", "--max-n", "8", "--format", "json"],
+    ):
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-m", "rauzylab.cli", *argv],
+                env={**env, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
+                capture_output=True,
+                check=True,
+                timeout=300,
+            ).stdout
+            for seed in ("0", "1")
+        ]
+        assert outputs[0] == outputs[1], argv
+        assert outputs[0], argv

@@ -16,7 +16,7 @@ from rauzylab import (
     verify_fibonacci_identity,
 )
 from rauzylab import oracle
-from rauzylab.oracle import _legal_subwords_generic
+from rauzylab.oracle import _generation_windows, _legal_subwords_generic
 
 from conftest import brute_factors, brute_generation, brute_legal
 
@@ -279,6 +279,22 @@ def test_fibonacci_identity_needs_full_generation(fib):
     partial = subwords(generation_set(fib, 4), window)
     full = legal_subwords(fib, window)
     assert partial.as_set() < full.as_set()
+
+
+def test_generation_windows_match_literal_enumeration(fib):
+    # the prefix/suffix recursion never builds A_{n+1}; the literal sets do
+    for n in range(4, 8):
+        window = fibonacci_number(n)
+        literal = subwords(generation_set(fib, n + 1), window).as_set()
+        assert _generation_windows(fib, n + 1, window) == literal, n
+    with pytest.raises(InvalidRuleError):
+        _generation_windows(noble_means_rule(2), 5, 3)
+
+
+def test_generation_windows_every_length_at_generation_eight(fib):
+    # generation-8 words have length 21, so windows up to 13 cross every seam
+    for m in range(1, 14):
+        assert _generation_windows(fib, 8, m) == brute_factors(brute_generation(8), m), m
 
 
 def test_identity_rejects_small_stage(fib):
