@@ -32,13 +32,11 @@ from .errors import (
     InvalidRuleError,
     InvalidWordError,
     InvariantViolationError,
-    NonConvergenceError,
     RauzyLabError,
 )
 from .oracle import (
     IdentityCheck,
     fibonacci_number,
-    generation_set,
     is_legal,
     legal_subwords,
     verify_fibonacci_identity,
@@ -56,7 +54,6 @@ from .rauzy import (
 )
 from .rules import (
     RandomSubstitution,
-    all_inflations,
     fibonacci_rule,
     has_fibonacci_support,
     noble_means_rule,
@@ -65,6 +62,6 @@ from .rules import (
     rule_from_json,
     sample_inflation,
 )
-from .words import WordSet, subwords
+from .words import WordSet
 
 __version__ = "0.1.0"

@@ -215,6 +215,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_sample(args: argparse.Namespace) -> int:
     cfg = _config(args, 1)
+    if args.check_len < 0:
+        raise ValueError("--check-len must be >= 0")
     word = sample_inflation(cfg.rule, "b", args.k, cfg.seed)
     limit = min(args.check_len, len(word))
     for m in range(1, limit + 1):

@@ -17,10 +17,6 @@ class ConfigurationError(RauzyLabError, ValueError):
     """An operation needs data (e.g. probability vectors) the rule lacks."""
 
 
-class NonConvergenceError(RauzyLabError, RuntimeError):
-    """A stabilising iteration hit its generation cap without settling."""
-
-
 class DomainError(RauzyLabError, ValueError):
     """Arguments are outside an operation's domain (bad window, illegal word)."""
 

@@ -6,8 +6,9 @@ theta (Rust & Spindeler, *Dynamical systems arising from random
 substitutions*, Indag. Math. 2018): a word is legal exactly when it is a
 factor of one realization of theta(w) for a legal word w.
 
-F_1..F_3 are seeds from window closure, which inflates windows from a seed
-letter until they stop changing, within a cap on the number of rounds.
+F_1..F_3 are seeds from window closure, which inflates each newly found
+window once, from a seed letter, until no new one appears; it needs no
+cap, since there are finitely many words of length at most m.
 From m = 4 on, the corner step builds F_m from F_{m-1}.  Every legal
 m-word is xvy with xv and vy in F_{m-1}.  If v has exactly one right
 extension, or exactly one left extension, then xvy is legal for every such
@@ -26,7 +27,7 @@ Both preconditions are checked, never assumed: the rule must be primitive
 primitivity gives and which is checked on the seeds and on every F_{m-1}
 the step reads, else ``InvariantViolationError``.  A rule with no such k
 (a chain of 1-letter realizations at every power, as in a -> ab|b,
-b -> a) keeps window closure at every length.
+b -> a) gets every F_m from window closure.
 """
 
 from __future__ import annotations
@@ -34,12 +35,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import InvalidRuleError, InvalidWordError, InvariantViolationError, NonConvergenceError
+from .errors import InvalidRuleError, InvalidWordError, InvariantViolationError
 from .rules import RandomSubstitution, has_fibonacci_support
 from .words import WordSet
-
-#: upper bound on window-closure rounds before giving up
-DEFAULT_GENERATION_CAP = 64
 
 
 def fibonacci_number(n: int) -> int:
@@ -52,36 +50,6 @@ def fibonacci_number(n: int) -> int:
     return a
 
 
-def _require_fibonacci_support(rule: RandomSubstitution) -> None:
-    if not has_fibonacci_support(rule):
-        raise InvalidRuleError(
-            "the generation recursion is specific to the Fibonacci rule; "
-            "use all_inflations iteration for other rules"
-        )
-
-
-def generation_set(rule: RandomSubstitution, n: int) -> WordSet:
-    """The exact set of generation-n inflated words (Fibonacci rule only).
-
-    A_1 = {b}, A_2 = {a}; higher generations follow the two-sided
-    concatenation recursion A_k = A_{k-1} A_{k-2} | A_{k-2} A_{k-1}.
-    Sizes grow super-exponentially, so keep n small.  The pipeline never
-    builds A_n: the identity check takes its windows from
-    ``_generation_windows``, and this literal set is the tests' reference.
-    """
-    _require_fibonacci_support(rule)
-    if n < 0:
-        raise ValueError("generation index must be >= 0")
-    if n == 0:
-        return WordSet(())
-    if n == 1:
-        return WordSet.from_iterable(["b"])
-    older, newer = {"b"}, {"a"}
-    for _ in range(n - 2):
-        older, newer = newer, {u + v for u in newer for v in older} | {v + u for u in newer for v in older}
-    return WordSet.from_iterable(newer)
-
-
 def _generation_windows(rule: RandomSubstitution, k: int, m: int) -> frozenset[str]:
     """F(A_k, m), the length-m factors of the generation-k words, without building A_k.
 
@@ -92,7 +60,8 @@ def _generation_windows(rule: RandomSubstitution, k: int, m: int) -> frozenset[s
     sets follow the same recursion; a length-l one is a subset of F_l, and
     the seams need only l < m, so no set is as large as A_k.
     """
-    _require_fibonacci_support(rule)
+    if not has_fibonacci_support(rule):
+        raise InvalidRuleError("the generation recursion is specific to the Fibonacci rule")
     f = [0] + [fibonacci_number(j) for j in range(1, k + 1)]
     memo: dict[tuple[int, int, bool], set[str]] = {}
 
@@ -148,17 +117,30 @@ def _inflation_windows(rule: RandomSubstitution, v: str, m: int) -> set[str]:
     return collected
 
 
-def _legal_subwords_generic(rule: RandomSubstitution, m: int, cap: int) -> frozenset[str]:
-    """Window closure: inflate windows from a seed letter to a fixed point."""
-    windows: set[str] = {"b"} if "b" in rule.alphabet else {rule.alphabet[0]}
-    for _ in range(cap):
-        nxt: set[str] = set()
-        for v in windows:
-            nxt |= _inflation_windows(rule, v, m)
-        if nxt == windows:
-            return frozenset(w for w in windows if len(w) == m)
-        windows = nxt
-    raise NonConvergenceError(f"window sets did not stabilise within {cap} generations")
+def _window_closure(rule: RandomSubstitution, m: int) -> frozenset[str]:
+    """F_m by a worklist: inflate each newly found window once, from a seed letter.
+
+    The found set holds length-m windows and whole realizations shorter
+    than m; it is a subset of the finitely many words of length <= m and
+    only grows, so the pass ends when no new word appears.
+
+    Sound: each word found is a window of a realization of theta(v) for a
+    found, hence legal, v.  Complete: with W_0 the seed and W_{j+1} the
+    windows of one inflation of W_j, the length-m windows of the
+    realizations of theta^j(seed) lie in W_j, and W_j lies in the found
+    set by induction over j.  Equal to the set at which W_j stabilises,
+    wherever it does: for a primitive rule the seed occurs in a realization
+    of theta^N(seed), N the primitivity exponent, so a word of W_j recurs
+    in every W_{j'} with j' >= j + N, hence in the stable set.
+    """
+    found = {"b"} if "b" in rule.alphabet else {rule.alphabet[0]}
+    todo = list(found)
+    while todo:
+        for w in _inflation_windows(rule, todo.pop(), m):
+            if w not in found:
+                found.add(w)
+                todo.append(w)
+    return frozenset(w for w in found if len(w) == m)
 
 
 def _extensions(
@@ -283,8 +265,9 @@ def _legal_subword_set(rule: RandomSubstitution, m: int) -> WordSet:
     Primitivity is checked before any F_m, and the seeds' extendability
     before the first step (m = 4).  The step reads F_1..F_{m-1} as locals
     and parses corners at most k levels deep, k from
-    ``_desubstitution_depth``; a rule with no such k stays on window
-    closure.  Each F_m is sorted once, here, and served from this cache.
+    ``_desubstitution_depth``; a rule with no such k gets every F_m from
+    window closure.  Each F_m is sorted once, here, and served from this
+    cache.
     """
     _check_primitive(rule)
     k = _desubstitution_depth(rule)
@@ -292,7 +275,7 @@ def _legal_subword_set(rule: RandomSubstitution, m: int) -> WordSet:
         # the seeds F_1..F_3, and every F_m of a rule with no such k
         # (a chain of 1-letter realizations at every power), come from
         # window closure
-        return WordSet.from_iterable(_legal_subwords_generic(rule, m, DEFAULT_GENERATION_CAP))
+        return WordSet.from_iterable(_window_closure(rule, m))
     built = [frozenset([""])] + [_legal_subword_set(rule, j).as_set() for j in range(1, m)]
     if m == 4:
         # the step checks F_2 -> F_3 and every later pair; this is the first

@@ -25,17 +25,18 @@ class RationalMatrix:
 
     __slots__ = ("rows", "cols", "entries")
 
-    def __init__(self, entries: Iterable[Iterable[int]]):
+    def __init__(self, entries: Iterable[Iterable[int]], cols: int = 0):
+        """``cols`` is read only when there are no rows to show the width."""
         grid = tuple(tuple(map(index, row)) for row in entries)  # index() rejects Fractions and floats
         if grid and any(len(row) != len(grid[0]) for row in grid):
             raise ValueError("ragged rows")
         self.entries = grid
         self.rows = len(grid)
-        self.cols = len(grid[0]) if grid else 0
+        self.cols = len(grid[0]) if grid else cols
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RationalMatrix":
-        return cls([[0] * cols] * rows)
+        return cls([[0] * cols] * rows, cols)
 
     @classmethod
     def from_int_rows(cls, rows: Iterable[Iterable[int]]) -> "RationalMatrix":
@@ -48,12 +49,12 @@ class RationalMatrix:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalMatrix):
             return NotImplemented
-        return self.entries == other.entries
+        return self.cols == other.cols and self.entries == other.entries
 
     def hstack(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.rows != other.rows:
             raise ValueError("row counts differ")
-        return RationalMatrix(a + b for a, b in zip(self.entries, other.entries))
+        return RationalMatrix((a + b for a, b in zip(self.entries, other.entries)), self.cols + other.cols)
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
@@ -68,7 +69,7 @@ class RationalMatrix:
                     for j, y in terms:
                         acc[j] += x * y
             product.append(acc)
-        return RationalMatrix(product)
+        return RationalMatrix(product, other.cols)
 
     def rank(self) -> int:
         return kernels.exact_integer_rank(self.entries)

@@ -18,7 +18,6 @@ from math import lcm
 from pathlib import Path
 
 from .errors import ConfigurationError, InvalidRuleError, InvalidWordError
-from .words import WordSet
 
 
 @dataclass(frozen=True)
@@ -129,6 +128,15 @@ def has_fibonacci_support(rule: RandomSubstitution) -> bool:
     return rule.support() == _FIB_SUPPORT
 
 
+def _listed(table: object, ch: str, field: str) -> list:
+    """``table[ch]``, which must be a list; InvalidRuleError names the letter otherwise."""
+    if not isinstance(table, dict) or ch not in table:
+        raise InvalidRuleError(f"{field} has no entry for letter {ch!r}")
+    if not isinstance(table[ch], list):
+        raise InvalidRuleError(f"{field} of letter {ch!r} must be a list, not {table[ch]!r}")
+    return table[ch]
+
+
 def rule_from_json(obj: dict, name: str = "custom") -> RandomSubstitution:
     """Build a rule from the JSON-shaped specification format.
 
@@ -141,13 +149,19 @@ def rule_from_json(obj: dict, name: str = "custom") -> RandomSubstitution:
         raw_rules = obj["rules"]
     except (KeyError, TypeError) as exc:
         raise InvalidRuleError(f"rule specification missing field: {exc}") from exc
-    rules = tuple((ch, tuple("".join(w) for w in raw_rules[ch])) for ch in alphabet)
+    rules = []
+    for ch in alphabet:
+        realizations = _listed(raw_rules, ch, "rules")
+        for w in realizations:
+            if not isinstance(w, list) or not all(isinstance(c, str) for c in w):
+                raise InvalidRuleError(f"realization {w!r} of letter {ch!r} is not a list of letters")
+        rules.append((ch, tuple("".join(w) for w in realizations)))
     probabilities = None
     if obj.get("probabilities") is not None:
         probabilities = tuple(
-            (ch, tuple(Fraction(p) for p in obj["probabilities"][ch])) for ch in alphabet
+            (ch, tuple(Fraction(p) for p in _listed(obj["probabilities"], ch, "probabilities"))) for ch in alphabet
         )
-    return RandomSubstitution(name=name, alphabet=alphabet, rules=rules, probabilities=probabilities)
+    return RandomSubstitution(name=name, alphabet=alphabet, rules=tuple(rules), probabilities=probabilities)
 
 
 def rule_from_file(path: str | Path) -> RandomSubstitution:
@@ -177,18 +191,6 @@ def _check_word(rule: RandomSubstitution, w: str) -> None:
     for ch in w:
         if ch not in letters:
             raise InvalidWordError(f"letter {ch!r} is not in the alphabet")
-
-
-def all_inflations(rule: RandomSubstitution, w: str) -> WordSet:
-    """Every realization of one application of the rule to ``w``.
-
-    The result is the deduplicated concatenation product over letter
-    positions; its size is bounded by the product of the per-letter
-    realization counts.
-    """
-    _check_word(rule, w)
-    choices = [rule.realizations(ch) for ch in w]
-    return WordSet.from_iterable("".join(parts) for parts in itertools.product(*choices))
 
 
 def sample_inflation(rule: RandomSubstitution, w: str, k: int, seed: int) -> str:

@@ -16,12 +16,6 @@ def canonical_key(word: str) -> tuple[int, str]:
     return (len(word), word)
 
 
-def factors(word: str, m: int) -> Iterator[str]:
-    """Yield the length-m factors of ``word`` in order of position."""
-    for i in range(len(word) - m + 1):
-        yield word[i : i + m]
-
-
 @dataclass(frozen=True)
 class WordSet:
     """A deduplicated, canonically ordered finite collection of words."""
@@ -53,16 +47,3 @@ class WordSet:
 
     def as_set(self) -> frozenset[str]:
         return self._members
-
-
-def subwords(source: WordSet | Iterable[str], m: int) -> WordSet:
-    """All length-m factors of the given words, deduplicated.
-
-    Empty if every word is shorter than m.
-    """
-    if m < 1:
-        raise ValueError("factor length must be >= 1")
-    found: set[str] = set()
-    for word in source:
-        found.update(factors(word, m))
-    return WordSet.from_iterable(found)

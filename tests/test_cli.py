@@ -196,6 +196,30 @@ def test_non_primitive_rule_file_fails_cleanly(capsys, tmp_path):
     assert "not primitive" in err
 
 
+def test_malformed_rule_file_fails_cleanly(capsys, tmp_path):
+    payload = {"alphabet": ["a", "b"], "rules": {"a": [["b", "a"], ["a", "b"]]}}
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "complexity", "--rule-file", str(path), "--max-n", "3")
+    assert (code, out, err) == (1, "", "error: rules has no entry for letter 'b'\n")
+
+
+def test_verify_rule_without_desubstitution_depth(capsys, tmp_path):
+    # a -> ab|b, b -> a has a 1-letter chain at every power; its language
+    # comes from window closure alone, with no cap on the closure
+    payload = {"alphabet": ["a", "b"], "rules": {"a": [["a", "b"], ["b"]], "b": [["a"]]}}
+    path = tmp_path / "no-depth.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "verify", "--rule-file", str(path), "--max-n", "6")
+    assert code == 0 and err == ""
+    assert out.splitlines()[-1] == "OK: 0 failing check(s) out of 57"
+
+
+def test_sample_rejects_negative_check_len(capsys):
+    code, out, err = run_cli(capsys, "sample", "--k", "3", "--seed", "1", "--check-len", "-2")
+    assert (code, out, err) == (1, "", "error: --check-len must be >= 0\n")
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [

@@ -59,6 +59,17 @@ def test_coboundary_kills_constants(fib):
         assert d @ ones == RationalMatrix.zeros(d.rows, 1)
 
 
+def test_coboundary_of_edgeless_graph_keeps_its_columns():
+    # no edges, so no rows: the matrix is 0 x V, and constants still lie in
+    # its kernel, as a 0 x 1 product
+    g = SimpleDigraph(3, ())
+    d = coboundary_matrix(g)
+    assert (d.rows, d.cols) == (0, 3) and d != RationalMatrix.zeros(0, 0)
+    assert d @ RationalMatrix([[1]] * 3) == RationalMatrix.zeros(0, 1)
+    assert d.hstack(RationalMatrix.zeros(0, 2)).cols == 5
+    assert d.rank() == 0 and h1_rank(g) == 0
+
+
 def test_coboundary_rank_is_vertices_minus_one(fib):
     for n in range(1, 9):
         g = build_rauzy(fib, n)

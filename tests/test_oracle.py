@@ -1,22 +1,21 @@
-"""Generation sets and the legal-factor oracle against brute enumeration."""
+"""Generation windows and the legal-factor oracle against brute enumeration."""
+
+from itertools import product
 
 import pytest
 
 from rauzylab import (
     InvalidRuleError,
     InvariantViolationError,
-    NonConvergenceError,
     RandomSubstitution,
     fibonacci_number,
-    generation_set,
     is_legal,
     legal_subwords,
     noble_means_rule,
-    subwords,
     verify_fibonacci_identity,
 )
 from rauzylab import oracle
-from rauzylab.oracle import _generation_windows, _legal_subwords_generic
+from rauzylab.oracle import _generation_windows, _window_closure
 
 from conftest import brute_factors, brute_generation, brute_legal
 
@@ -53,43 +52,14 @@ def test_fibonacci_number_convention():
     assert [fibonacci_number(n) for n in range(1, 9)] == [1, 1, 2, 3, 5, 8, 13, 21]
 
 
-def test_generation_base_cases(fib):
-    assert list(generation_set(fib, 0)) == []
-    assert list(generation_set(fib, 1)) == ["b"]
-    assert list(generation_set(fib, 2)) == ["a"]
-    assert generation_set(fib, 3).as_set() == {"ab", "ba"}
-
-
-def test_generation_four_by_set_arithmetic(fib):
-    a3, a2 = {"ab", "ba"}, {"a"}
-    expected = {u + v for u in a3 for v in a2} | {v + u for u in a3 for v in a2}
-    assert generation_set(fib, 4).as_set() == expected == {"aba", "aab", "baa"}
-
-
 def test_generation_five_contains_double_b(fib):
-    assert "aabba" in generation_set(fib, 5)
-
-
-def test_generation_matches_brute_recursion(fib):
-    for n in range(1, 9):
-        assert generation_set(fib, n).as_set() == brute_generation(n)
+    assert "aabba" in brute_generation(5)
 
 
 def test_generation_words_have_fibonacci_length(fib):
     for n in range(1, 9):
-        lengths = {len(w) for w in generation_set(fib, n)}
+        lengths = {len(w) for w in brute_generation(n)}
         assert lengths == {fibonacci_number(n)}
-
-
-def test_generation_rejects_other_rules():
-    with pytest.raises(InvalidRuleError):
-        generation_set(noble_means_rule(2), 3)
-
-
-def test_subwords_examples(fib):
-    assert subwords(["aba"], 2).as_set() == {"ab", "ba"}
-    assert subwords(generation_set(fib, 5), 2).as_set() == {"aa", "ab", "ba", "bb"}
-    assert len(subwords(["b"], 2)) == 0
 
 
 def test_legal_subwords_small_lengths(fib):
@@ -120,23 +90,23 @@ def test_legal_subwords_equal_window_closure(fib):
     )
     for rule in rules:
         for m in range(1, 13):
-            expected = _legal_subwords_generic(rule, m, 64)
+            expected = _window_closure(rule, m)
             assert legal_subwords(rule, m).as_set() == expected, (rule.name, m)
     for m in range(1, 9):
-        expected = _legal_subwords_generic(DEPTH_THREE, m, 64)
+        expected = _window_closure(DEPTH_THREE, m)
         assert legal_subwords(DEPTH_THREE, m).as_set() == expected, (DEPTH_THREE.name, m)
 
 
 def test_desubstitution_step_reaches_length_fourteen(fib, monkeypatch):
     # window closure is allowed only at short lengths, so p(14) must come
     # from the step applied to shorter lengths
-    closure = _legal_subwords_generic
+    closure = _window_closure
 
-    def short_only(rule, m, cap):
+    def short_only(rule, m):
         assert m < 8, f"window closure used at m = {m}"
-        return closure(rule, m, cap)
+        return closure(rule, m)
 
-    monkeypatch.setattr(oracle, "_legal_subwords_generic", short_only)
+    monkeypatch.setattr(oracle, "_window_closure", short_only)
     oracle._legal_subword_set.cache_clear()
     try:
         assert len(legal_subwords(fib, 14)) == EXPECTED_P[13]
@@ -146,14 +116,14 @@ def test_desubstitution_step_reaches_length_fourteen(fib, monkeypatch):
 
 def test_corner_step_reaches_length_sixteen(fib, monkeypatch):
     # only the seeds F_1..F_3 may come from window closure
-    closure = _legal_subwords_generic
+    closure = _window_closure
 
-    def seeds_only(rule, m, cap):
+    def seeds_only(rule, m):
         if m >= 4:
             raise AssertionError(f"window closure used at m = {m}")
-        return closure(rule, m, cap)
+        return closure(rule, m)
 
-    monkeypatch.setattr(oracle, "_legal_subwords_generic", seeds_only)
+    monkeypatch.setattr(oracle, "_window_closure", seeds_only)
     oracle._legal_subword_set.cache_clear()
     try:
         assert len(legal_subwords(fib, 15)) == 3652
@@ -173,12 +143,23 @@ def test_desubstitution_depth(fib):
 
 
 def test_rule_without_depth_keeps_window_closure():
-    # a -> b -> a is a 1-letter chain at every power, so no k exists;
-    # window closure runs at every length and must fail loudly there
-    assert legal_subwords(NO_DEPTH, 1).as_set() == {"a", "b"}
-    for m in (2, 4, 6):
-        with pytest.raises(NonConvergenceError):
-            legal_subwords(NO_DEPTH, m)
+    # a -> b -> a is a 1-letter chain at every power, so no k exists and
+    # window closure gives every F_m; here that is every binary word
+    for m in range(1, 9):
+        assert legal_subwords(NO_DEPTH, m).as_set() == {"".join(w) for w in product("ab", repeat=m)}, m
+    # independent: every realization of theta^j(b), over all j, of length
+    # <= 10, by literal concatenation products; inflation never shortens a
+    # word, so the longer ones need not be inflated
+    rules = dict(NO_DEPTH.rules)
+    reached, todo = {"b"}, ["b"]
+    while todo:
+        for parts in product(*(rules[ch] for ch in todo.pop())):
+            w = "".join(parts)
+            if len(w) <= 10 and w not in reached:
+                reached.add(w)
+                todo.append(w)
+    for m in range(1, 7):
+        assert legal_subwords(NO_DEPTH, m).as_set() == brute_factors(reached, m), m
 
 
 def test_full_length_preimage_at_depth_k_raises(fib, monkeypatch):
@@ -198,10 +179,10 @@ def test_seed_extendability_is_checked(fib, monkeypatch):
     # without bba, the legal 2-word bb has no right extension in F_3; with
     # F_2 = {aa} and F_3 = {aaa}, F_2 extends within F_3 but the letter b
     # has no extension in F_2.  The corner step must refuse both seed sets.
-    closure = _legal_subwords_generic
-    for broken in ({3: closure(fib, 3, 64) - {"bba"}}, {2: frozenset({"aa"}), 3: frozenset({"aaa"})}):
+    closure = _window_closure
+    for broken in ({3: closure(fib, 3) - {"bba"}}, {2: frozenset({"aa"}), 3: frozenset({"aaa"})}):
         monkeypatch.setattr(
-            oracle, "_legal_subwords_generic", lambda rule, m, cap, broken=broken: broken.get(m) or closure(rule, m, cap)
+            oracle, "_window_closure", lambda rule, m, broken=broken: broken.get(m) or closure(rule, m)
         )
         oracle._legal_subword_set.cache_clear()
         try:
@@ -264,7 +245,7 @@ def test_legality_examples(fib):
 
 
 def test_double_b_witnessed_by_generation_five(fib):
-    assert any("bb" in w for w in generation_set(fib, 5))
+    assert any("bb" in w for w in brute_generation(5))
 
 
 def test_fibonacci_identity_holds(fib):
@@ -276,16 +257,16 @@ def test_fibonacci_identity_holds(fib):
 def test_fibonacci_identity_needs_full_generation(fib):
     # one generation earlier the factor set is strictly smaller
     window = fibonacci_number(4)
-    partial = subwords(generation_set(fib, 4), window)
+    partial = brute_factors(brute_generation(4), window)
     full = legal_subwords(fib, window)
-    assert partial.as_set() < full.as_set()
+    assert partial < full.as_set()
 
 
 def test_generation_windows_match_literal_enumeration(fib):
     # the prefix/suffix recursion never builds A_{n+1}; the literal sets do
     for n in range(4, 8):
         window = fibonacci_number(n)
-        literal = subwords(generation_set(fib, n + 1), window).as_set()
+        literal = brute_factors(brute_generation(n + 1), window)
         assert _generation_windows(fib, n + 1, window) == literal, n
     with pytest.raises(InvalidRuleError):
         _generation_windows(noble_means_rule(2), 5, 3)
@@ -300,11 +281,6 @@ def test_generation_windows_every_length_at_generation_eight(fib):
 def test_identity_rejects_small_stage(fib):
     with pytest.raises(ValueError):
         verify_fibonacci_identity(fib, 3)
-
-
-def test_low_cap_raises_non_convergence(fib):
-    with pytest.raises(NonConvergenceError):
-        _legal_subwords_generic(fib, 10, 5)
 
 
 def test_window_closure_matches_known_deterministic_languages():

@@ -1,25 +1,19 @@
-"""Substitution rules, exhaustive inflation and seeded sampling."""
+"""Substitution rules, rule files and seeded sampling."""
 
 from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from rauzylab import (
     ConfigurationError,
     InvalidRuleError,
     InvalidWordError,
     RandomSubstitution,
-    all_inflations,
-    fibonacci_rule,
     noble_means_rule,
     rule_from_json,
     sample_inflation,
 )
-
-words_ab = st.text(alphabet="ab", min_size=1, max_size=7)
 
 
 def exhaustive_inflations(rule, w):
@@ -98,40 +92,27 @@ def test_rule_from_json_round_trip(fib, tmp_path):
     assert rule.probability_vector("a") == (Fraction(1, 2), Fraction(1, 2))
 
 
-def test_all_inflations_of_b_is_unique(fib):
-    assert list(all_inflations(fib, "b")) == ["a"]
+def test_rule_from_json_names_a_missing_letter():
+    payload = {"alphabet": ["a", "b"], "rules": {"a": [["b", "a"], ["a", "b"]]}}
+    with pytest.raises(InvalidRuleError, match="rules has no entry for letter 'b'"):
+        rule_from_json(payload)
+    payload["rules"]["b"] = [["a"]]
+    payload["probabilities"] = {"a": ["1/2", "1/2"]}
+    with pytest.raises(InvalidRuleError, match="probabilities has no entry for letter 'b'"):
+        rule_from_json(payload)
 
 
-def test_all_inflations_small_words(fib):
-    assert all_inflations(fib, "ab").as_set() == exhaustive_inflations(fib, "ab") == {"aba", "baa"}
-    assert all_inflations(fib, "aa").as_set() == {"abab", "abba", "baab", "baba"}
+def test_rule_from_json_rejects_a_string_realization_list():
+    # "ba" would otherwise be split into the two realizations b and a
+    payload = {"alphabet": ["a", "b"], "rules": {"a": "ba", "b": [["a"]]}}
+    with pytest.raises(InvalidRuleError, match="rules of letter 'a' must be a list"):
+        rule_from_json(payload)
 
 
-def test_all_inflations_rejects_foreign_letters(fib):
-    with pytest.raises(InvalidWordError):
-        all_inflations(fib, "ax")
-    with pytest.raises(InvalidWordError):
-        all_inflations(fib, "")
-
-
-@given(words_ab)
-@settings(max_examples=60, deadline=None)
-def test_inflation_count_bounded_by_choice_product(w):
-    fib = fibonacci_rule()
-    bound = 1
-    for ch in w:
-        bound *= len(fib.realizations(ch))
-    result = all_inflations(fib, w)
-    assert len(result) <= bound
-    assert result.as_set() == exhaustive_inflations(fib, w)
-
-
-@given(words_ab)
-@settings(max_examples=60, deadline=None)
-def test_inflation_length_is_choice_independent(w):
-    fib = fibonacci_rule()
-    expected = 2 * w.count("a") + w.count("b")
-    assert all(len(r) == expected for r in all_inflations(fib, w))
+def test_rule_from_json_rejects_a_non_list_realization():
+    payload = {"alphabet": ["a", "b"], "rules": {"a": [["b", "a"]], "b": [5]}}
+    with pytest.raises(InvalidRuleError, match="realization 5 of letter 'b' is not a list of letters"):
+        rule_from_json(payload)
 
 
 def test_sample_of_b_one_round_is_a(fib):
@@ -198,3 +179,10 @@ def test_sample_draws_are_exact_integer_slices():
 def test_sample_rejects_negative_seed(fib):
     with pytest.raises(ConfigurationError, match="seed"):
         sample_inflation(fib, "b", 1, -1)
+
+
+def test_sample_rejects_foreign_and_empty_words(fib):
+    with pytest.raises(InvalidWordError):
+        sample_inflation(fib, "ax", 1, 0)
+    with pytest.raises(InvalidWordError):
+        sample_inflation(fib, "", 1, 0)
