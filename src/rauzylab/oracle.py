@@ -1,33 +1,22 @@
 """The factor language of a random substitution.
 
 ``legal_subwords`` computes F_m, the set of legal length-m factors, by one
-routine for every rule.  It rests on L(theta^k) = L(theta) for a primitive
+routine for every rule.  It rests on L(theta^N) = L(theta) for a primitive
 theta (Rust & Spindeler, *Dynamical systems arising from random
 substitutions*, Indag. Math. 2018): a word is legal exactly when it is a
 factor of one realization of theta(w) for a legal word w.
 
-F_1..F_3 are seeds from window closure, which inflates each newly found
-window once, from a seed letter, until no new one appears; it needs no
-cap, since there are finitely many words of length at most m.
-From m = 4 on, the corner step builds F_m from F_{m-1}.  Every legal
-m-word is xvy with xv and vy in F_{m-1}.  If v has exactly one right
-extension, or exactly one left extension, then xvy is legal for every such
-x and y, by bi-extendability; so only the corners of bispecial v need a
-decision.  A corner is parsed into blocks of theta: a nonempty suffix of a
-realization, whole realizations, and a nonempty prefix of a realization.
-The preimage is looked up in a shorter F_j.  A preimage as long as the
-corner arises only through 1-letter realizations and is parsed in turn,
-at most k levels deep, where k is the least power at which every
-realization of theta^k has at least 2 letters.  A parse at that depth has
-at most m/2 + 1 blocks, so a length-m preimage there is a bug and raises.
+F_1 is the alphabet.  Every F_m with m >= 2 comes from ``_corner_step``,
+which builds F_m from F_{m-1}, starting at F_0 = {""}, and parses only
+the corners of bispecial words back to shorter legal words; its docstring
+proves that the search ends and finds every legal corner.
 
 Both preconditions are checked, never assumed: the rule must be primitive
-(some power of its letter-incidence matrix is positive), else
-``InvalidRuleError``; and the language must be extendable, which
-primitivity gives and which is checked on the seeds and on every F_{m-1}
-the step reads, else ``InvariantViolationError``.  A rule with no such k
-(a chain of 1-letter realizations at every power, as in a -> ab|b,
-b -> a) gets every F_m from window closure.
+(some power of its letter-incidence matrix is positive) and expanding
+(some realization has at least two letters), else ``InvalidRuleError``;
+and the language must be extendable, which these give and which is
+checked on every pair F_{m-1}, F_m the step reads, else
+``InvariantViolationError``.
 """
 
 from __future__ import annotations
@@ -92,57 +81,6 @@ def _generation_windows(rule: RandomSubstitution, k: int, m: int) -> frozenset[s
     return frozenset(windows[k])
 
 
-def _inflation_windows(rule: RandomSubstitution, v: str, m: int) -> set[str]:
-    """Length-m factors of every realization of one inflation of ``v``.
-
-    Realizations shorter than m contribute themselves whole.  States are
-    deduplicated by (suffix, length), which is lossless for factor
-    collection because emitted windows depend only on the suffix.
-    """
-    collected: set[str] = set()
-    keep = max(m - 1, 1)
-    states: set[tuple[str, int]] = {("", 0)}
-    for ch in v:
-        nxt: set[tuple[str, int]] = set()
-        for s, total in states:
-            for r in rule.realizations(ch):
-                t = s + r
-                for i in range(max(0, len(s) - m + 1), len(t) - m + 1):
-                    collected.add(t[i : i + m])
-                nxt.add((t[-keep:] if len(t) > keep else t, total + len(r)))
-        states = nxt
-    for s, total in states:
-        if total < m:
-            collected.add(s)
-    return collected
-
-
-def _window_closure(rule: RandomSubstitution, m: int) -> frozenset[str]:
-    """F_m by a worklist: inflate each newly found window once, from a seed letter.
-
-    The found set holds length-m windows and whole realizations shorter
-    than m; it is a subset of the finitely many words of length <= m and
-    only grows, so the pass ends when no new word appears.
-
-    Sound: each word found is a window of a realization of theta(v) for a
-    found, hence legal, v.  Complete: with W_0 the seed and W_{j+1} the
-    windows of one inflation of W_j, the length-m windows of the
-    realizations of theta^j(seed) lie in W_j, and W_j lies in the found
-    set by induction over j.  Equal to the set at which W_j stabilises,
-    wherever it does: for a primitive rule the seed occurs in a realization
-    of theta^N(seed), N the primitivity exponent, so a word of W_j recurs
-    in every W_{j'} with j' >= j + N, hence in the stable set.
-    """
-    found = {"b"} if "b" in rule.alphabet else {rule.alphabet[0]}
-    todo = list(found)
-    while todo:
-        for w in _inflation_windows(rule, todo.pop(), m):
-            if w not in found:
-                found.add(w)
-                todo.append(w)
-    return frozenset(w for w in found if len(w) == m)
-
-
 def _extensions(
     rule: RandomSubstitution, shorter: frozenset[str], longer: frozenset[str]
 ) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
@@ -164,11 +102,14 @@ def _extensions(
 
 
 def _check_primitive(rule: RandomSubstitution) -> None:
-    """Raise unless some power of the letter-incidence matrix is positive.
+    """Raise unless the rule is primitive and expanding.
 
-    By Wielandt's bound a primitive d x d matrix has a positive power
+    Primitive: some power of the letter-incidence matrix is positive.  By
+    Wielandt's bound a primitive d x d matrix has a positive power
     (d-1)^2 + 1, and every later power is positive too, so that one power
-    decides.
+    decides.  Expanding: some realization has at least two letters.  If
+    none has, every realization of every power is one letter, so no legal
+    word has two letters and F_1 does not extend.
     """
     letters = frozenset(rule.alphabet)
     step = {a: frozenset("".join(rule.realizations(a))) for a in rule.alphabet}
@@ -179,31 +120,45 @@ def _check_primitive(rule: RandomSubstitution) -> None:
         raise InvalidRuleError(
             f"rule {rule.name!r} is not primitive: no power of its letter-incidence matrix is positive"
         )
+    if all(len(r) == 1 for a in rule.alphabet for r in rule.realizations(a)):
+        raise InvalidRuleError(
+            f"rule {rule.name!r} is not expanding: every realization is one letter, so no legal word has two"
+        )
 
 
-def _desubstitution_depth(rule: RandomSubstitution) -> int | None:
-    """The least k at which every realization of theta^k has at least 2 letters.
-
-    Only shortest lengths are tracked: shortest[a] is the length of a's
-    shortest theta^k realization.  The letters where it is 1 form a
-    shrinking set, which is empty after len(alphabet) rounds or never, so
-    None means the rule has no such k.
-    """
-    shortest = dict.fromkeys(rule.alphabet, 1)
-    for k in range(1, len(rule.alphabet) + 1):
-        shortest = {a: min(sum(shortest[c] for c in r) for r in rule.realizations(a)) for a in rule.alphabet}
-        if min(shortest.values()) >= 2:
-            return k
-    return None
-
-
-def _corner_step(rule: RandomSubstitution, built: list[frozenset[str]], k: int) -> frozenset[str]:
-    """F_m from built[j] = F_j for j < m, deciding only the corners of bispecials.
+def _corner_step(rule: RandomSubstitution, built: list[frozenset[str]]) -> frozenset[str]:
+    """F_m from built[j] = F_j for j < m (F_0 = {""}), deciding only the corners of bispecials.
 
     Every legal m-word is xvy with xv and vy in F_{m-1}.  If v has one
     right extension y, every legal xv extends, and only by y, so xvy is
     legal for every x; the same holds with one left extension.  The other
-    xvy, the corners of bispecial v, are decided by ``decide``.
+    xvy, the corners of bispecial v, are decided by ``decide``, which
+    parses a corner u into blocks of theta: a nonempty suffix of a
+    realization, whole realizations, and a nonempty prefix of a
+    realization (one block is the case that u lies in one realization).
+    A preimage shorter than m is looked up in F_j; one of length m, which
+    only 1-letter realizations give, is parsed in turn unless it is
+    already on the current path of full-length preimages.  There are
+    finitely many m-words, so the search ends.
+
+    Sound: u is accepted only as a factor of a realization of theta(w)
+    for a legal w.  Complete: a legal u lies in a realization of
+    theta^N(c) for some letter c.  Take at each level the shortest factor
+    whose image covers the word below it.  Each block of that parse gives
+    at least one letter, so this is a chain u = w_0, w_1, ..., w_N = c of
+    preimages of non-increasing length that ends in one letter.  Cut its
+    cycles (w_i = w_j with i < j: drop w_{i+1}..w_j).  What is left is an
+    acyclic chain of preimages that reaches a word shorter than m through
+    distinct full-length words, so the search visits it and finds that
+    word in F_j.
+
+    Where the rule has a depth k (the least power at which every
+    realization of theta^k has at least 2 letters), a parse at depth k has
+    at most m/2 + 1 blocks, fewer than m for m >= 3.  So a chain of
+    full-length preimages has fewer than k links and closes no cycle: the
+    path check never fires, and from m = 3 on the search visits exactly
+    the parses of a search bounded by k levels.  At m = 2, and for rules
+    with no k, the path check is what ends the search.
     """
     m = len(built)
     rights, lefts = _extensions(rule, built[m - 2], built[m - 1])
@@ -216,14 +171,13 @@ def _corner_step(rule: RandomSubstitution, built: list[frozenset[str]], k: int) 
         for i in range(len(r)):
             heads.setdefault(r[i], {})[a, r[i:]] = None
 
-    def decide(u: str, level: int) -> bool:
+    def decide(u: str, path: tuple[str, ...]) -> bool:
         """Whether u is a factor of a realization of theta(w) for a legal w.
 
-        A shortest such w parses u into blocks: a nonempty suffix of a
-        realization of w's first letter, whole realizations, and a nonempty
-        prefix of a realization of its last letter.  Each preimage prefix
-        is looked up in the shorter F_j.  A preimage of length m, which
-        only 1-letter realizations give, is decided by parsing it in turn.
+        ``path`` holds the full-length words on the way to u, u included.
+        A shortest w parses u into blocks; each preimage prefix is looked
+        up in the shorter F_j, and a full-length preimage off the path is
+        decided by parsing it in turn.
         """
         if m <= longest and any(u in r for _, r in realizations):
             return True
@@ -240,11 +194,7 @@ def _corner_step(rule: RandomSubstitution, built: list[frozenset[str]], k: int) 
                     if len(w) < m:
                         if w in built[len(w)]:
                             return True
-                    elif level == k:
-                        raise InvariantViolationError(
-                            f"rule {rule.name!r}: a length-{m} preimage after {k} desubstitution levels"
-                        )
-                    elif decide(w, level + 1):
+                    elif w not in path and decide(w, path + (w,)):
                         return True
         return False
 
@@ -254,33 +204,24 @@ def _corner_step(rule: RandomSubstitution, built: list[frozenset[str]], k: int) 
         if len(xs) == 1 or len(ys) == 1:
             out.update(x + v + y for x in xs for y in ys)
         else:
-            out.update(u for x in xs for y in ys if decide(u := x + v + y, 1))
+            out.update(u for x in xs for y in ys if decide(u := x + v + y, (u,)))
     return frozenset(out)
 
 
 @lru_cache(maxsize=None)
 def _legal_subword_set(rule: RandomSubstitution, m: int) -> WordSet:
-    """F_m: the seeds F_1..F_3 by window closure, then the corner step.
+    """F_m: the alphabet at m = 1, the corner step from F_0 = {""} on.
 
-    Primitivity is checked before any F_m, and the seeds' extendability
-    before the first step (m = 4).  The step reads F_1..F_{m-1} as locals
-    and parses corners at most k levels deep, k from
-    ``_desubstitution_depth``; a rule with no such k gets every F_m from
-    window closure.  Each F_m is sorted once, here, and served from this
-    cache.
+    The rule is checked primitive and expanding before any F_m.  Each
+    step reads F_0..F_{m-1} as locals and checks that F_{m-2} and F_{m-1}
+    extend into each other, so every pair from (F_0, F_1) on is checked.
+    Each F_m is sorted once, here, and served from this cache.
     """
     _check_primitive(rule)
-    k = _desubstitution_depth(rule)
-    if m <= 3 or k is None:
-        # the seeds F_1..F_3, and every F_m of a rule with no such k
-        # (a chain of 1-letter realizations at every power), come from
-        # window closure
-        return WordSet.from_iterable(_window_closure(rule, m))
+    if m == 1:
+        return WordSet.from_iterable(rule.alphabet)
     built = [frozenset([""])] + [_legal_subword_set(rule, j).as_set() for j in range(1, m)]
-    if m == 4:
-        # the step checks F_2 -> F_3 and every later pair; this is the first
-        _extensions(rule, built[1], built[2])
-    return WordSet.from_iterable(_corner_step(rule, built, k))
+    return WordSet.from_iterable(_corner_step(rule, built))
 
 
 def legal_subwords(rule: RandomSubstitution, m: int) -> WordSet:

@@ -137,6 +137,13 @@ def _listed(table: object, ch: str, field: str) -> list:
     return table[ch]
 
 
+def _probability(p: object, ch: str) -> Fraction:
+    """One JSON probability entry, a rational string or a number; InvalidRuleError names the letter otherwise."""
+    if isinstance(p, bool) or not isinstance(p, (str, int, float)):
+        raise InvalidRuleError(f"probability {p!r} of letter {ch!r} is not a number or a rational string")
+    return Fraction(p)
+
+
 def rule_from_json(obj: dict, name: str = "custom") -> RandomSubstitution:
     """Build a rule from the JSON-shaped specification format.
 
@@ -159,7 +166,8 @@ def rule_from_json(obj: dict, name: str = "custom") -> RandomSubstitution:
     probabilities = None
     if obj.get("probabilities") is not None:
         probabilities = tuple(
-            (ch, tuple(Fraction(p) for p in _listed(obj["probabilities"], ch, "probabilities"))) for ch in alphabet
+            (ch, tuple(_probability(p, ch) for p in _listed(obj["probabilities"], ch, "probabilities")))
+            for ch in alphabet
         )
     return RandomSubstitution(name=name, alphabet=alphabet, rules=tuple(rules), probabilities=probabilities)
 

@@ -1,8 +1,10 @@
-"""Shared fixtures: brute-force oracles independent of the package internals.
+"""Shared fixtures: reference oracles independent of the package internals.
 
 The brute oracle materialises generation sets by literal two-sided
 concatenation and reads factor sets straight off the words, so any
-agreement with the package's aggregated recursion is meaningful.
+agreement with the package's aggregated recursion is meaningful.  Window
+closure computes F_m of any primitive rule by inflating windows forward,
+where the package parses corners backward to shorter legal words.
 """
 
 from __future__ import annotations
@@ -54,6 +56,57 @@ def brute_legal(m: int) -> frozenset[str]:
         if prev is not None and cur == prev and len(next(iter(brute_generation(k - 1)))) >= m:
             return cur
     return brute_factors(brute_generation(BRUTE_MAX_GENERATION), m)
+
+
+def inflation_windows(rule, v: str, m: int) -> set[str]:
+    """Length-m factors of every realization of one inflation of ``v``.
+
+    Realizations shorter than m contribute themselves whole.  States are
+    deduplicated by (suffix, length), which is lossless for factor
+    collection because emitted windows depend only on the suffix.
+    """
+    collected: set[str] = set()
+    keep = max(m - 1, 1)
+    states: set[tuple[str, int]] = {("", 0)}
+    for ch in v:
+        nxt: set[tuple[str, int]] = set()
+        for s, total in states:
+            for r in rule.realizations(ch):
+                t = s + r
+                for i in range(max(0, len(s) - m + 1), len(t) - m + 1):
+                    collected.add(t[i : i + m])
+                nxt.add((t[-keep:] if len(t) > keep else t, total + len(r)))
+        states = nxt
+    for s, total in states:
+        if total < m:
+            collected.add(s)
+    return collected
+
+
+def window_closure(rule, m: int) -> frozenset[str]:
+    """F_m by a worklist: inflate each newly found window once, from a seed letter.
+
+    The found set holds length-m windows and whole realizations shorter
+    than m; it is a subset of the finitely many words of length <= m and
+    only grows, so the pass ends when no new word appears.
+
+    Sound: each word found is a window of a realization of theta(v) for a
+    found, hence legal, v.  Complete: with W_0 the seed and W_{j+1} the
+    windows of one inflation of W_j, the length-m windows of the
+    realizations of theta^j(seed) lie in W_j, and W_j lies in the found
+    set by induction over j.  Equal to the set at which W_j stabilises,
+    wherever it does: for a primitive rule the seed occurs in a realization
+    of theta^N(seed), N the primitivity exponent, so a word of W_j recurs
+    in every W_{j'} with j' >= j + N, hence in the stable set.
+    """
+    found = {"b"} if "b" in rule.alphabet else {rule.alphabet[0]}
+    todo = list(found)
+    while todo:
+        for w in inflation_windows(rule, todo.pop(), m):
+            if w not in found:
+                found.add(w)
+                todo.append(w)
+    return frozenset(w for w in found if len(w) == m)
 
 
 @pytest.fixture(scope="session")

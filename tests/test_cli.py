@@ -2,6 +2,7 @@
 
 import hashlib
 import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -15,6 +16,8 @@ import rauzylab
 from rauzylab import cohomology, fibonacci_rule, legal_subwords, oracle
 from rauzylab.cli import main
 from rauzylab.words import WordSet
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 census_module = importlib.import_module("rauzylab.complexity")  # the package exports a function of that name
 
@@ -205,14 +208,40 @@ def test_malformed_rule_file_fails_cleanly(capsys, tmp_path):
 
 
 def test_verify_rule_without_desubstitution_depth(capsys, tmp_path):
-    # a -> ab|b, b -> a has a 1-letter chain at every power; its language
-    # comes from window closure alone, with no cap on the closure
+    # a -> ab|b, b -> a has a 1-letter chain at every power, so no bound on
+    # the depth of same-length preimages; the path check ends the search
     payload = {"alphabet": ["a", "b"], "rules": {"a": [["a", "b"], ["b"]], "b": [["a"]]}}
     path = tmp_path / "no-depth.json"
     path.write_text(json.dumps(payload))
     code, out, err = run_cli(capsys, "verify", "--rule-file", str(path), "--max-n", "6")
     assert code == 0 and err == ""
     assert out.splitlines()[-1] == "OK: 0 failing check(s) out of 57"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["language", "--max-len", "3"], ["verify", "--max-n", "3"], ["complexity", "--max-n", "3"]],
+)
+def test_non_expanding_rule_fails_cleanly(capsys, tmp_path, argv):
+    # every realization is one letter, so no legal word has two letters
+    payload = {"alphabet": ["a", "b"], "rules": {"a": [["a"], ["b"]], "b": [["a"], ["b"]]}}
+    path = tmp_path / "one-letter.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, *argv, "--rule-file", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: rule 'one-letter' is not expanding: every realization is one letter")
+
+
+def test_bad_probability_in_rule_file_fails_cleanly(capsys, tmp_path):
+    payload = {
+        "alphabet": ["a", "b"],
+        "rules": {"a": [["b", "a"], ["a", "b"]], "b": [["a"]]},
+        "probabilities": {"a": [None, "1"], "b": ["1"]},
+    }
+    path = tmp_path / "null.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "sample", "--rule-file", str(path), "--k", "3", "--seed", "1")
+    assert (code, out, err) == (1, "", "error: probability None of letter 'a' is not a number or a rational string\n")
 
 
 def test_sample_rejects_negative_check_len(capsys):
@@ -239,6 +268,29 @@ def test_unknown_rule_fails_cleanly(capsys):
     code, _, err = run_cli(capsys, "complexity", "--rule", "nope")
     assert code == 1
     assert "error" in err
+
+
+def _benchmark_workloads():
+    """WORKLOADS and OUTPUT_DIR of perfbench/run.py, read without running it."""
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    return run.WORKLOADS, run.OUTPUT_DIR
+
+
+@pytest.mark.parametrize("workload", sorted(json.loads((PERFBENCH / "golden.json").read_text())))
+def test_benchmark_workload_matches_golden(capsys, monkeypatch, tmp_path, workload):
+    # the benchmark refuses any change to these outputs; pin them here too
+    golden = json.loads((PERFBENCH / "golden.json").read_text())[workload]
+    workloads, output_dir = _benchmark_workloads()
+    monkeypatch.delenv("RAUZYLAB_OUT", raising=False)
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(capsys, *workloads[workload])
+    assert code == golden["code"]
+    assert hashlib.sha256(out.encode()).hexdigest() == golden["stdout_sha256"]
+    written = tmp_path / output_dir.get(workload, "no-output")
+    files = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(written.glob("*"))}
+    assert files == golden["files"]
 
 
 def test_cohomology_invariant_failure_exits_nonzero(capsys, monkeypatch):

@@ -3,6 +3,8 @@
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rauzylab import (
     InvalidRuleError,
@@ -15,12 +17,12 @@ from rauzylab import (
     verify_fibonacci_identity,
 )
 from rauzylab import oracle
-from rauzylab.oracle import _generation_windows, _window_closure
+from rauzylab.oracle import _corner_step, _generation_windows
 
-from conftest import brute_factors, brute_generation, brute_legal
+from conftest import brute_factors, brute_generation, brute_legal, window_closure
 
-# complexity values confirmed by two independent algorithms (corner step
-# and window closure) and by brute enumeration up to length 13
+# complexity values confirmed by two independent algorithms (the corner
+# step and the tests' window closure) and by brute enumeration up to length 13
 EXPECTED_P = [2, 4, 7, 13, 22, 39, 67, 108, 183, 305, 510, 851, 1356, 2238]
 
 THUE_MORSE = RandomSubstitution(
@@ -37,12 +39,14 @@ THREE_LETTER = RandomSubstitution(
     alphabet=("a", "b", "c"),
     rules=(("a", ("abc", "cba")), ("b", ("ac",)), ("c", ("b",))),
 )
-# b -> c -> a is a chain of 1-letter realizations, so k = 3
+# b -> c -> a is a chain of 1-letter realizations, so the least power at
+# which every realization has 2 letters (the depth k) is 3
 DEPTH_THREE = RandomSubstitution(
     name="depth-three",
     alphabet=("a", "b", "c"),
     rules=(("a", ("ab", "ca")), ("b", ("c",)), ("c", ("a", "bc"))),
 )
+# a -> b -> a is a 1-letter chain at every power, so there is no depth k
 NO_DEPTH = RandomSubstitution(
     name="no-depth", alphabet=("a", "b"), rules=(("a", ("ab", "b")), ("b", ("a",)))
 )
@@ -74,9 +78,8 @@ def test_legal_subwords_equal_brute_stabilisation(fib):
 
 
 def test_legal_subwords_equal_window_closure(fib):
-    # a structurally different second algorithm over the same rule; the
-    # corner step takes over from m = 4 on every rule with a desubstitution
-    # depth k, which covers all of these (k = 1, 2 or 3)
+    # a structurally different second algorithm over the same rule, with
+    # depths k = 1, 2 and 3 and a rule with no k
     rules = (
         fib,
         noble_means_rule(2),
@@ -90,61 +93,83 @@ def test_legal_subwords_equal_window_closure(fib):
     )
     for rule in rules:
         for m in range(1, 13):
-            expected = _window_closure(rule, m)
+            expected = window_closure(rule, m)
             assert legal_subwords(rule, m).as_set() == expected, (rule.name, m)
-    for m in range(1, 9):
-        expected = _window_closure(DEPTH_THREE, m)
-        assert legal_subwords(DEPTH_THREE, m).as_set() == expected, (DEPTH_THREE.name, m)
+    for rule in (DEPTH_THREE, NO_DEPTH):
+        for m in range(1, 9):
+            assert legal_subwords(rule, m).as_set() == window_closure(rule, m), (rule.name, m)
+
+
+@st.composite
+def small_rules(draw) -> RandomSubstitution:
+    """A rule on 2 or 3 letters, each with 1 to 3 realizations of 1 to 3 letters."""
+    letters = draw(st.sampled_from(("ab", "abc")))
+    words = st.lists(st.text(letters, min_size=1, max_size=3), min_size=1, max_size=3, unique=True)
+    return RandomSubstitution(
+        name="drawn", alphabet=tuple(letters), rules=tuple((a, tuple(draw(words))) for a in letters)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_rules())
+def test_legal_subwords_equal_window_closure_on_small_rules(rule):
+    try:
+        oracle._check_primitive(rule)
+    except InvalidRuleError:
+        assume(False)
+    for m in range(1, 7 if len(rule.alphabet) == 2 else 5):
+        assert legal_subwords(rule, m).as_set() == window_closure(rule, m), (rule.rules, m)
+
+
+def _count_steps(monkeypatch) -> list[int]:
+    """Clear the oracle cache and record the length m of every corner step from now on."""
+    calls: list[int] = []
+    step = oracle._corner_step
+
+    def counted(rule, built):
+        calls.append(len(built))
+        return step(rule, built)
+
+    monkeypatch.setattr(oracle, "_corner_step", counted)
+    oracle._legal_subword_set.cache_clear()
+    return calls
 
 
 def test_desubstitution_step_reaches_length_fourteen(fib, monkeypatch):
-    # window closure is allowed only at short lengths, so p(14) must come
-    # from the step applied to shorter lengths
-    closure = _window_closure
-
-    def short_only(rule, m):
-        assert m < 8, f"window closure used at m = {m}"
-        return closure(rule, m)
-
-    monkeypatch.setattr(oracle, "_window_closure", short_only)
-    oracle._legal_subword_set.cache_clear()
+    # p(14) comes from the step applied to shorter lengths, one step per m >= 2
+    calls = _count_steps(monkeypatch)
     try:
         assert len(legal_subwords(fib, 14)) == EXPECTED_P[13]
+        assert calls == list(range(2, 15))
     finally:
         oracle._legal_subword_set.cache_clear()
 
 
 def test_corner_step_reaches_length_sixteen(fib, monkeypatch):
-    # only the seeds F_1..F_3 may come from window closure
-    closure = _window_closure
-
-    def seeds_only(rule, m):
-        if m >= 4:
-            raise AssertionError(f"window closure used at m = {m}")
-        return closure(rule, m)
-
-    monkeypatch.setattr(oracle, "_window_closure", seeds_only)
-    oracle._legal_subword_set.cache_clear()
+    # every F_m with m >= 2, and only those, comes from one corner step
+    calls = _count_steps(monkeypatch)
     try:
         assert len(legal_subwords(fib, 15)) == 3652
         assert len(legal_subwords(fib, 16)) == 5988
+        assert calls == list(range(2, 17))
     finally:
         oracle._legal_subword_set.cache_clear()
 
 
-def test_desubstitution_depth(fib):
-    # the least k at which every realization of theta^k has 2 letters
-    assert oracle._desubstitution_depth(fib) == 2
-    assert oracle._desubstitution_depth(noble_means_rule(5)) == 2
-    assert oracle._desubstitution_depth(THUE_MORSE) == 1
-    assert oracle._desubstitution_depth(PERIOD_DOUBLING) == 1
-    assert oracle._desubstitution_depth(DEPTH_THREE) == 3
-    assert oracle._desubstitution_depth(NO_DEPTH) is None
+def test_same_length_preimage_cycles_end():
+    # DET_FIB (aa <- ba <- aa) and THREE_LETTER have cycles of same-length
+    # preimages at m = 2, and NO_DEPTH at every m; the path check must end
+    # the search without losing a legal word
+    for rule in (DET_FIB, THREE_LETTER):
+        for m in (2, 3):
+            assert legal_subwords(rule, m).as_set() == window_closure(rule, m), (rule.name, m)
+    for m in range(1, 9):
+        assert legal_subwords(NO_DEPTH, m).as_set() == window_closure(NO_DEPTH, m), m
 
 
 def test_rule_without_depth_keeps_window_closure():
-    # a -> b -> a is a 1-letter chain at every power, so no k exists and
-    # window closure gives every F_m; here that is every binary word
+    # with no depth k, the path check alone bounds the search; here F_m is
+    # every binary word
     for m in range(1, 9):
         assert legal_subwords(NO_DEPTH, m).as_set() == {"".join(w) for w in product("ab", repeat=m)}, m
     # independent: every realization of theta^j(b), over all j, of length
@@ -162,34 +187,14 @@ def test_rule_without_depth_keeps_window_closure():
         assert legal_subwords(NO_DEPTH, m).as_set() == brute_factors(reached, m), m
 
 
-def test_full_length_preimage_at_depth_k_raises(fib, monkeypatch):
-    # with k understated as 1, fib's 1-letter realization b -> a yields a
-    # length-m preimage at the last level allowed; that is a bug, not an
-    # illegal word, so the oracle raises instead of answering False
-    monkeypatch.setattr(oracle, "_desubstitution_depth", lambda rule: 1)
-    oracle._legal_subword_set.cache_clear()
-    try:
-        with pytest.raises(InvariantViolationError, match="preimage"):
-            legal_subwords(fib, 4)
-    finally:
-        oracle._legal_subword_set.cache_clear()
-
-
-def test_seed_extendability_is_checked(fib, monkeypatch):
+def test_seed_extendability_is_checked(fib):
     # without bba, the legal 2-word bb has no right extension in F_3; with
-    # F_2 = {aa} and F_3 = {aaa}, F_2 extends within F_3 but the letter b
-    # has no extension in F_2.  The corner step must refuse both seed sets.
-    closure = _window_closure
-    for broken in ({3: closure(fib, 3) - {"bba"}}, {2: frozenset({"aa"}), 3: frozenset({"aaa"})}):
-        monkeypatch.setattr(
-            oracle, "_window_closure", lambda rule, m, broken=broken: broken.get(m) or closure(rule, m)
-        )
-        oracle._legal_subword_set.cache_clear()
-        try:
-            with pytest.raises(InvariantViolationError, match="extension"):
-                legal_subwords(fib, 4)
-        finally:
-            oracle._legal_subword_set.cache_clear()
+    # F_2 = {aa}, the letter b has no extension in F_2.  The step that reads
+    # each broken pair must refuse it.
+    legal = [frozenset([""])] + [legal_subwords(fib, j).as_set() for j in (1, 2, 3)]
+    for built in (legal[:3] + [legal[3] - {"bba"}], legal[:2] + [frozenset({"aa"})]):
+        with pytest.raises(InvariantViolationError, match="extension"):
+            _corner_step(fib, built)
 
 
 def test_non_extendable_language_raises():

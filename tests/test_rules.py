@@ -1,5 +1,6 @@
 """Substitution rules, rule files and seeded sampling."""
 
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -112,6 +113,18 @@ def test_rule_from_json_rejects_a_string_realization_list():
 def test_rule_from_json_rejects_a_non_list_realization():
     payload = {"alphabet": ["a", "b"], "rules": {"a": [["b", "a"]], "b": [5]}}
     with pytest.raises(InvalidRuleError, match="realization 5 of letter 'b' is not a list of letters"):
+        rule_from_json(payload)
+
+
+@pytest.mark.parametrize("entry", [None, True, ["1"], {"p": 1}])
+def test_rule_from_json_rejects_a_non_numeric_probability(entry):
+    # Fraction(None) would escape as a TypeError
+    payload = {
+        "alphabet": ["a", "b"],
+        "rules": {"a": [["b", "a"], ["a", "b"]], "b": [["a"]]},
+        "probabilities": {"a": [entry, "1"], "b": ["1"]},
+    }
+    with pytest.raises(InvalidRuleError, match=re.escape(f"probability {entry!r} of letter 'a'")):
         rule_from_json(payload)
 
 
