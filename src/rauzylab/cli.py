@@ -239,7 +239,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     for stage in stage_tower(cfg.rule, cfg.max_n):
         complexity_rows.append(_complexity_row(stage.census()))
         cohomology_rows.append(_cohomology_row(stage.report()))
-        dots[stage.n] = export_dot(stage.graph, highlight_specials=True)
+        dots[stage.n] = export_dot(build_rauzy(cfg.rule, stage.n), highlight_specials=True)
     if cfg.fmt == "json":
         payload = {
             "rule": cfg.rule.name,

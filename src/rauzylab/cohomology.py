@@ -1,12 +1,15 @@
-"""Exact cochain computations on the graph tower.
+"""Exact cochain computations on the stage tower.
 
-The dense functions build the coboundaries D and the 0/1 fiber-indicator
-pullbacks M0, M1 and take every rank by exact elimination; they are the
-reference.  ``stage_report`` runs no elimination.  Four ranks come from
-structure, each checked where it arises: rank D = V - 1 on both stage
-graphs (both are checked strongly connected); rank M0 = V_t and
-rank M1 = E_t, and D_s M0 = M1 D_t, because ``projection`` raises unless
-both cell maps are surjective and commute with tail and head.
+The dense functions build the stage graphs, the coboundaries D and the 0/1
+fiber-indicator pullbacks M0, M1, and take every rank by exact elimination;
+they are the reference.  ``Stage.report`` builds no graph and runs no
+elimination: it reads F_n, F_{n+1}, F_{n+2} and the extension maps of
+F_{n+1} into F_{n+2}.  Four ranks come from structure, each checked where
+it arises: rank D = V - 1 on both stage graphs, which sweeps over words
+check strongly connected; rank M0 = V_t and rank M1 = E_t, because both
+letter-drop maps cover their targets (their images are the keys of
+extension maps, which ``_extensions`` checks); and D_s M0 = M1 D_t, since
+dropping a letter commutes with taking the tail and the head of a word.
 
 The fifth, C = rank [M1 | D_s], is a graph-component count.  Row e of
 [M1 | D_s] is a unit at the image edge beside the coboundary row
@@ -14,12 +17,14 @@ head(e) - tail(e).  Group the source edges by image; the first edge e0 of
 each group is its pivot, and pivoting on its M1 unit is unimodular, so the
 pivots give rank E_t and clear the M1 block from the rest of the group.
 There the row left is (head(e) - tail(e)) - (head(e0) - tail(e0)).  Every
-edge fiber of the letter-drop map is a star: its edges share their head
-(n odd, the first letter is dropped) or their tail (n even), so that row is
-the difference of two source vertices, and a fiber that is not a star
-raises.  The rows left thus form the incidence matrix R of a graph on the
-V_s source vertices, of rank V_s - components, and
-C = E_t + V_s - components.
+edge fiber of the letter-drop map is a star.  Dropping the last letter
+(n even), the fiber over c is {cy : y in R(c)}, and its edges share their
+tail word c; dropping the first letter (n odd), it is {xc : x in L(c)},
+and its edges share their head word c.  So that row is the difference of
+two source vertices; the union-find checks the shared end all the same,
+and a fiber that is not a star raises.  The rows left thus form the
+incidence matrix R of a graph on the V_s source vertices, of rank
+V_s - components, and C = E_t + V_s - components.
 
 So h1 = E_t - V_t + 1, the induced rank is C - (V_s - 1), h0_quotient =
 V_s - V_t + E_t - C = components - V_t, which is 0 exactly when each vertex
@@ -40,12 +45,13 @@ ETDS 18 (1998).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Hashable, Iterable, Iterator, NamedTuple
 
 from .complexity import SpecialsReport, first_difference, specials_report
 from .errors import InvariantViolationError
+from .oracle import _extensions, legal_subwords
 from .rational import RationalMatrix
-from .rauzy import Edge, ProjectionMap, RauzyGraph, SimpleDigraph, _project, build_rauzy, projection, strongly_connected
+from .rauzy import ProjectionMap, RauzyGraph, SimpleDigraph, strongly_connected, words_connected
 from .rules import RandomSubstitution
 
 Graph = RauzyGraph | SimpleDigraph
@@ -179,112 +185,115 @@ class CohomologyReport:
             raise InvariantViolationError(f"stage {self.n}: inconsistent injectivity flag")
 
 
-def _combined_rank(proj: ProjectionMap) -> int:
-    """C = rank [M1 | D_s] by union-find over the edge fibers.
+def _combined_rank(cells: Iterable[tuple[Hashable, Hashable, Hashable]]) -> int:
+    """C = rank [M1 | D_s] by union-find over the edge fibers, from (image, tail, head) per source edge.
 
-    Each fiber's first edge is its pivot; every other edge e of the fiber
-    joins two source vertices, its tail to the pivot's tail when the two
-    share their head, or its head to the pivot's head when they share
-    their tail.  C is the pivot count plus V_s minus the components.
+    Each fiber's first edge is its pivot; every other edge joins its tail to
+    the pivot's tail when the two share their head, or else its head to the
+    pivot's head, and must then share their tail.  C = pivots + joins.
     """
-    parent = list(range(proj.source.vertex_count))
+    parent: dict[Hashable, Hashable] = {}  # a vertex not in it is a root
 
-    def find(u: int) -> int:
-        while parent[u] != u:
-            parent[u] = parent[parent[u]]
+    def find(u: Hashable) -> Hashable:
+        while u in parent:
+            parent[u] = parent.get(parent[u], parent[u])
             u = parent[u]
         return u
 
-    pivots: dict[int, Edge] = {}
+    pivots: dict[Hashable, tuple[Hashable, Hashable]] = {}
     joins = 0
-    for e, image in zip(proj.source.edges, proj.edge_map):
-        e0 = pivots.setdefault(image, e)  # the pivot itself joins nothing
-        if e.head == e0.head:
-            u, w = find(e.tail), find(e0.tail)
-        elif e.tail == e0.tail:
-            u, w = find(e.head), find(e0.head)
+    for image, tail, head in cells:
+        if image not in pivots:
+            pivots[image] = tail, head  # the pivot itself joins nothing
+            continue
+        tail0, head0 = pivots[image]
+        if head == head0:
+            u, w = find(tail), find(tail0)
+        elif tail == tail0:
+            u, w = find(head), find(head0)
         else:
-            raise InvariantViolationError(
-                f"edge fiber over stage-{proj.n} edge {image} is not a star"
-            )
+            raise InvariantViolationError(f"edge fiber over {image!r} is not a star")
         if u != w:
             parent[u] = w
             joins += 1
     return len(pivots) + joins
 
 
-def stage_report(rule: RandomSubstitution, n: int) -> CohomologyReport:
-    """All cochain-level facts for stage n and its projection from stage n+1.
-
-    No elimination: C = rank [M1 | D_s] is the pivot count E_t plus the
-    rank V_s - components of the incidence matrix that the star-shaped
-    edge fibers leave; surjectivity, commutation and strong connectivity of
-    both stage graphs are checked and give the other ranks, as the module
-    docstring explains.  h1 = s(n)+1 is checked by ``CohomologyReport``.
-    """
-    proj = projection(rule, n)
-    return _stage_report(rule, proj, strongly_connected(proj.source), strongly_connected(proj.target))
-
-
-def _stage_report(
-    rule: RandomSubstitution, proj: ProjectionMap, source_connected: bool, target_connected: bool
+def _report(
+    rule: RandomSubstitution, n: int, connected: tuple[bool, bool], sizes: tuple[int, int, int, int], combined_rank: int
 ) -> CohomologyReport:
-    """``stage_report`` from a projection and the two graphs' strong connectivity."""
-    n, source, target = proj.n, proj.source, proj.target
-    for stage, connected in ((n + 1, source_connected), (n, target_connected)):
-        if not connected:
+    """The stage-n report from the strong connectivity of stages n+1 and n, V_t, E_t, V_s, E_s and C."""
+    for stage, ok in zip((n + 1, n), connected):
+        if not ok:
             raise InvariantViolationError(f"stage-{stage} graph is not strongly connected")
-    h1 = target.edge_count - target.vertex_count + 1
-    combined_rank = _combined_rank(proj)
-    induced_rank = combined_rank - (source.vertex_count - 1)
+    v_t, e_t, v_s, e_s = sizes
+    h1 = e_t - v_t + 1
+    induced_rank = combined_rank - (v_s - 1)
     return CohomologyReport(
         n=n,
-        vertices=target.vertex_count,
-        edges=target.edge_count,
+        vertices=v_t,
+        edges=e_t,
         h1_rank=h1,
         s_plus_1=first_difference(rule, n) + 1,
         pullback_injective_on_cochains=True,
         induced_map_rank=induced_rank,
         induced_injective=induced_rank == h1,
-        h0_quotient_dim=source.vertex_count - target.vertex_count + target.edge_count - combined_rank,
-        h1_quotient_dim=source.edge_count - combined_rank,
+        h0_quotient_dim=v_s - v_t + e_t - combined_rank,
+        h1_quotient_dim=e_s - combined_rank,
     )
 
 
 class Stage:
     """Stage n of the tower; each fact is computed when it is first asked for.
 
-    ``report`` builds the stage-(n+1) graph as its projection source, and
-    ``stage_tower`` hands that graph on to stage n+1, so each graph is built
-    and checked for strong connectivity once.
+    ``report`` sweeps the stage-(n+1) graph, and ``stage_tower`` hands that
+    verdict on to stage n+1, so each stage graph is swept once.
     """
 
-    def __init__(self, rule: RandomSubstitution, n: int, graphs: dict[int, tuple[RauzyGraph, bool]]) -> None:
-        self.rule, self.n, self.graphs = rule, n, graphs  # stage -> (graph, strongly connected)
+    def __init__(self, rule: RandomSubstitution, n: int, swept: dict[int, bool]) -> None:
+        self.rule, self.n, self.swept = rule, n, swept  # stage -> strongly connected
 
-    def _graph(self, n: int) -> tuple[RauzyGraph, bool]:
-        if n not in self.graphs:
-            g = build_rauzy(self.rule, n)
-            self.graphs[n] = g, strongly_connected(g)
-        return self.graphs[n]
+    def _maps(self, m: int) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
+        """The extension maps of F_m into F_{m+1}; the stage-m graph is swept on first reading."""
+        maps = _extensions(self.rule, legal_subwords(self.rule, m).as_set(), legal_subwords(self.rule, m + 1).as_set())
+        if m not in self.swept:
+            self.swept[m] = words_connected(*maps)
+        return maps
 
-    graph = property(lambda self: self._graph(self.n)[0])
-    connected = property(lambda self: self._graph(self.n)[1])
+    @property
+    def connected(self) -> bool:
+        if self.n not in self.swept:
+            self._maps(self.n)
+        return self.swept[self.n]
 
     def census(self) -> SpecialsReport:
         return specials_report(self.rule, self.n)
 
     def report(self) -> CohomologyReport:
-        (source, source_ok), (target, target_ok) = self._graph(self.n + 1), self._graph(self.n)
-        return _stage_report(self.rule, _project(source, target), source_ok, target_ok)
+        """The cochain report of stage n; the edge fibers of the letter-drop map
+        are {cy : y in R(c)} (n even) or {xc : x in L(c)} (n odd), c in F_{n+1}."""
+        rule, n = self.rule, self.n
+        rights, lefts = self._maps(n + 1)
+        if n % 2 == 0:
+            cells = ((c, c, c[1:] + y) for c, ys in rights.items() for y in ys)
+        else:
+            cells = ((c, x + c[:-1], c) for c, xs in lefts.items() for x in xs)
+        sizes = tuple(len(legal_subwords(rule, m)) for m in (n, n + 1, n + 1, n + 2))
+        return _report(rule, n, (self.swept[n + 1], self.connected), sizes, _combined_rank(cells))
+
+
+def stage_report(rule: RandomSubstitution, n: int) -> CohomologyReport:
+    """All cochain-level facts for stage n and its projection from stage n+1,
+    with no graph and no elimination, as the module docstring explains."""
+    return Stage(rule, n, {}).report()
 
 
 def stage_tower(rule: RandomSubstitution, max_n: int) -> Iterator[Stage]:
-    """Stages 1..max_n in order, streamed: at most two graphs are alive at a time."""
-    graphs: dict[int, tuple[RauzyGraph, bool]] = {}
+    """Stages 1..max_n in order, streamed: each hands on only the connectivity of the next stage graph."""
+    swept: dict[int, bool] = {}
     for n in range(1, max_n + 1):
-        graphs = {n: graphs[n]} if n in graphs else {}
-        yield Stage(rule, n, graphs)
+        swept = {n: swept[n]} if n in swept else {}
+        yield Stage(rule, n, swept)
 
 
 @dataclass(frozen=True)
@@ -305,7 +314,7 @@ def direct_limit_report(rule: RandomSubstitution, max_stage: int) -> DirectLimit
 
     Raises on the first stage whose invariants fail; additionally checks
     each degree-1 quotient dimension against the strong-bispecial count
-    from the extension-table census.
+    from the specials census.
     """
     if max_stage < 2:
         raise ValueError("need at least two stages")

@@ -82,6 +82,21 @@ def build_rauzy(rule: RandomSubstitution, n: int) -> RauzyGraph:
     return RauzyGraph(rule=rule, n=n, vertices=vertices, edges=tuple(edges))
 
 
+def _sweeps_reach_all(start, count: int, successors, predecessors) -> bool:
+    """Whether sweeps from ``start`` along ``successors`` and along ``predecessors`` each reach all ``count`` nodes."""
+    for step in (successors, predecessors):
+        seen = {start}
+        stack = [start]
+        while stack:
+            for w in step(stack.pop()):
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        if len(seen) != count:
+            return False
+    return True
+
+
 def strongly_connected(g: RauzyGraph | SimpleDigraph) -> bool:
     """Whether every vertex reaches every other along oriented paths.
 
@@ -96,18 +111,18 @@ def strongly_connected(g: RauzyGraph | SimpleDigraph) -> bool:
     for e in g.edges:
         forward[e.tail].append(e.head)
         backward[e.head].append(e.tail)
-    for adj in (forward, backward):
-        seen = [False] * n
-        seen[0] = True
-        stack = [0]
-        while stack:
-            for w in adj[stack.pop()]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        if not all(seen):
-            return False
-    return True
+    return _sweeps_reach_all(0, n, forward.__getitem__, backward.__getitem__)
+
+
+def words_connected(rights: dict[str, list[str]], lefts: dict[str, list[str]]) -> bool:
+    """Strong connectivity of the stage-n graph by sweeps over the extension maps of F_n into F_{n+1}:
+    the successors of v are v[1:] + y for y in R(v), its predecessors x + v[:-1] for x in L(v)."""
+    return _sweeps_reach_all(
+        next(iter(rights)),
+        len(rights),
+        lambda v: [v[1:] + y for y in rights[v]],
+        lambda v: [x + v[:-1] for x in lefts[v]],
+    )
 
 
 @dataclass(frozen=True)
@@ -122,29 +137,22 @@ class ProjectionMap:
     edge_map: tuple[int, ...]
 
 
-def _drop(word: str, n: int) -> str:
-    return word[:-1] if n % 2 == 0 else word[1:]
-
-
 def projection(rule: RandomSubstitution, n: int) -> ProjectionMap:
     """Build the parity-determined letter-drop map between stages n+1 and n.
 
     The image of an edge word must itself be an edge word whose endpoints
     are the images of the original endpoints; violations abort, since for
-    a factor language they cannot occur.
+    a factor language they cannot occur.  The dense reference reads this
+    map; the stage tower works on the words themselves.
     """
-    return _project(build_rauzy(rule, n + 1), build_rauzy(rule, n))
-
-
-def _project(source: RauzyGraph, target: RauzyGraph) -> ProjectionMap:
-    """``projection`` between two stage graphs already built."""
-    n = target.n
+    source, target = build_rauzy(rule, n + 1), build_rauzy(rule, n)
+    drop = slice(None, -1) if n % 2 == 0 else slice(1, None)
     v_index = {w: i for i, w in enumerate(target.vertices)}
     e_index = {e.word: i for i, e in enumerate(target.edges)}
-    vertex_map = tuple(v_index[_drop(w, n)] for w in source.vertices)
+    vertex_map = tuple(v_index[w[drop]] for w in source.vertices)
     edge_map = []
     for e in source.edges:
-        image_word = _drop(e.word, n)
+        image_word = e.word[drop]
         j = e_index.get(image_word)
         if j is None:
             raise InvariantViolationError(f"projected edge word {image_word!r} is not an edge")

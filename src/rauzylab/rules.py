@@ -138,10 +138,13 @@ def _listed(table: object, ch: str, field: str) -> list:
 
 
 def _probability(p: object, ch: str) -> Fraction:
-    """One JSON probability entry, a rational string or a number; InvalidRuleError names the letter otherwise."""
+    """One JSON probability entry, a rational string or a finite number; InvalidRuleError names the letter otherwise."""
     if isinstance(p, bool) or not isinstance(p, (str, int, float)):
         raise InvalidRuleError(f"probability {p!r} of letter {ch!r} is not a number or a rational string")
-    return Fraction(p)
+    try:
+        return Fraction(p)
+    except (ValueError, OverflowError, ZeroDivisionError):  # NaN, infinity or a malformed string
+        raise InvalidRuleError(f"probability {p!r} of letter {ch!r} is not a finite rational number") from None
 
 
 def rule_from_json(obj: dict, name: str = "custom") -> RandomSubstitution:

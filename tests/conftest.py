@@ -4,7 +4,9 @@ The brute oracle materialises generation sets by literal two-sided
 concatenation and reads factor sets straight off the words, so any
 agreement with the package's aggregated recursion is meaningful.  Window
 closure computes F_m of any primitive rule by inflating windows forward,
-where the package parses corners backward to shorter legal words.
+where the package parses corners backward to shorter legal words.  The
+table census classifies each word by its own extension table, with every
+letter and letter pair looked up, where the package reads extension maps.
 """
 
 from __future__ import annotations
@@ -13,9 +15,35 @@ from functools import lru_cache
 
 import pytest
 
-from rauzylab import fibonacci_rule
+from rauzylab import RandomSubstitution, fibonacci_rule, legal_subwords
 
 BRUTE_MAX_GENERATION = 8
+
+THUE_MORSE = RandomSubstitution(
+    name="thue-morse", alphabet=("a", "b"), rules=(("a", ("ab",)), ("b", ("ba",)))
+)
+PERIOD_DOUBLING = RandomSubstitution(
+    name="period-doubling", alphabet=("a", "b"), rules=(("a", ("ab",)), ("b", ("aa",)))
+)
+DET_FIB = RandomSubstitution(
+    name="det-fib", alphabet=("a", "b"), rules=(("a", ("ab",)), ("b", ("a",)))
+)
+THREE_LETTER = RandomSubstitution(
+    name="three-letter",
+    alphabet=("a", "b", "c"),
+    rules=(("a", ("abc", "cba")), ("b", ("ac",)), ("c", ("b",))),
+)
+# b -> c -> a is a chain of 1-letter realizations, so the least power at
+# which every realization has 2 letters (the depth k) is 3
+DEPTH_THREE = RandomSubstitution(
+    name="depth-three",
+    alphabet=("a", "b", "c"),
+    rules=(("a", ("ab", "ca")), ("b", ("c",)), ("c", ("a", "bc"))),
+)
+# a -> b -> a is a 1-letter chain at every power, so there is no depth k
+NO_DEPTH = RandomSubstitution(
+    name="no-depth", alphabet=("a", "b"), rules=(("a", ("ab", "b")), ("b", ("a",)))
+)
 
 
 @lru_cache(maxsize=None)
@@ -107,6 +135,62 @@ def window_closure(rule, m: int) -> frozenset[str]:
                 found.add(w)
                 todo.append(w)
     return frozenset(w for w in found if len(w) == m)
+
+
+def table_census(rule, n: int) -> dict:
+    """The specials census of length n, one extension table per word.
+
+    Each word's left and right extensions and its corners are found by
+    looking up every letter and every letter pair in F_{n+1} and F_{n+2};
+    a corner outside the extension sets, or a word with no corner, fails.
+    """
+    letters = rule.alphabet
+    words, ext, corner_set = (legal_subwords(rule, m).as_set() for m in (n, n + 1, n + 2))
+    rights, lefts, bis = set(), set(), set()
+    strong = weak = neutral = 0
+    no_weak = True
+    for v in words:
+        left = [x for x in letters if x + v in ext]
+        right = [y for y in letters if v + y in ext]
+        corners = {(x, y) for x in letters for y in letters if x + v + y in corner_set}
+        assert corners and all(x in left and y in right for x, y in corners), v
+        if len(right) >= 2:
+            rights.add(v)
+            no_weak &= any(all((x, y) in corners for y in right) for x in left)
+        if len(left) >= 2:
+            lefts.add(v)
+            no_weak &= any(all((x, y) in corners for x in left) for y in right)
+        if len(left) >= 2 and len(right) >= 2:
+            bis.add(v)
+            no_weak &= len(corners) >= 3
+            if len(corners) == 4:
+                strong += 1
+            elif len(corners) == 2:
+                weak += 1
+            else:
+                neutral += 1
+    s = len(ext) - len(words)
+    return {
+        "p": len(words),
+        "s": s,
+        "right_specials": rights,
+        "left_specials": lefts,
+        "bispecials": bis,
+        "strong_count": strong,
+        "weak_count": weak,
+        "neutral_count": neutral,
+        "bispecial_identity": len(corner_set) - len(ext) - s == strong - weak,
+        "no_weak_bispecials": no_weak,
+    }
+
+
+def census_fields(rep) -> dict:
+    """A ``SpecialsReport`` as ``table_census`` returns it: its word lists as sets."""
+    fields = dict(vars(rep))
+    del fields["n"]
+    for key in ("right_specials", "left_specials", "bispecials"):
+        fields[key] = fields[key].as_set()
+    return fields
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,6 @@
 """Command-line surface: formats, determinism, exit codes."""
 
 import hashlib
-import importlib
 import importlib.util
 import json
 import os
@@ -13,13 +12,11 @@ from pathlib import Path
 import pytest
 
 import rauzylab
-from rauzylab import cohomology, fibonacci_rule, legal_subwords, oracle
+from rauzylab import cli, cohomology, fibonacci_rule, legal_subwords, oracle, rauzy
 from rauzylab.cli import main
 from rauzylab.words import WordSet
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
-census_module = importlib.import_module("rauzylab.complexity")  # the package exports a function of that name
 
 #: sha256 of the stdout of ``verify --rule fib --max-n 8``, pinned from the
 #: release before the stage tower
@@ -242,6 +239,10 @@ def test_bad_probability_in_rule_file_fails_cleanly(capsys, tmp_path):
     path.write_text(json.dumps(payload))
     code, out, err = run_cli(capsys, "sample", "--rule-file", str(path), "--k", "3", "--seed", "1")
     assert (code, out, err) == (1, "", "error: probability None of letter 'a' is not a number or a rational string\n")
+    # 1e400 parses as an infinite float, on which Fraction raised OverflowError
+    path.write_text(json.dumps(payload).replace("null", "1e400"))
+    code, out, err = run_cli(capsys, "sample", "--rule-file", str(path), "--k", "3", "--seed", "1")
+    assert (code, out, err) == (1, "", "error: probability inf of letter 'a' is not a finite rational number\n")
 
 
 def test_sample_rejects_negative_check_len(capsys):
@@ -297,19 +298,19 @@ def test_cohomology_invariant_failure_exits_nonzero(capsys, monkeypatch):
     from rauzylab import InvariantViolationError
     from rauzylab import cohomology
 
-    def broken_stage(rule, proj, source_connected, target_connected):
+    def broken_stage(stage):
         raise InvariantViolationError("stage 1: synthetic failure")
 
-    monkeypatch.setattr(cohomology, "_stage_report", broken_stage)
+    monkeypatch.setattr(cohomology.Stage, "report", broken_stage)
     code, _, err = run_cli(capsys, "cohomology", "--max-n", "2")
     assert code == 1
     assert "synthetic failure" in err
 
 
 def test_verify_builds_each_stage_fact_once(capsys, monkeypatch):
-    sorts, graphs, checks, censuses = Counter(), Counter(), Counter(), Counter()
+    sorts, graphs, sweeps, censuses = Counter(), Counter(), Counter(), Counter()
     from_iterable = WordSet.from_iterable.__func__
-    build, connected, tables = cohomology.build_rauzy, cohomology.strongly_connected, census_module._extension_tables
+    build, connected, census = rauzy.build_rauzy, cohomology.words_connected, cohomology.specials_report
 
     def counted_sort(cls, items):
         word_set = from_iterable(cls, items)
@@ -320,51 +321,59 @@ def test_verify_builds_each_stage_fact_once(capsys, monkeypatch):
         graphs[n] += 1
         return build(rule, n)
 
-    def counted_check(g):
-        checks[g.n] += 1
-        return connected(g)
+    def counted_sweep(rights, lefts):
+        sweeps[len(next(iter(rights)))] += 1
+        return connected(rights, lefts)
 
-    def counted_tables(rule, n):
+    def counted_census(rule, n):
         censuses[n] += 1
-        return tables(rule, n)
+        return census(rule, n)
 
     monkeypatch.setattr(WordSet, "from_iterable", classmethod(counted_sort))
-    monkeypatch.setattr(cohomology, "build_rauzy", counted_build)
-    monkeypatch.setattr(cohomology, "strongly_connected", counted_check)
-    monkeypatch.setattr(census_module, "_extension_tables", counted_tables)
+    for module in (rauzy, cli):
+        monkeypatch.setattr(module, "build_rauzy", counted_build)
+    monkeypatch.setattr(cohomology, "words_connected", counted_sweep)
+    monkeypatch.setattr(cohomology, "specials_report", counted_census)
     oracle._legal_subword_set.cache_clear()  # so that every F_m is built, and sorted, in this run
     code, out, _ = run_cli(capsys, "verify", "--rule", "fib", "--max-n", "8")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_FIB_8_SHA256
     assert out.endswith("OK: 0 failing check(s) out of 77\n")
-    # F_1..F_13: the census and graphs read F_1..F_10, the identity at stage 7 reads F_13
+    # F_1..F_13: the census and sweeps read F_1..F_10, the identity at stage 7 reads F_13
     languages = [legal_subwords(fibonacci_rule(), m).words for m in range(1, 14)]
     assert all(sorts[words] == 1 for words in languages[1:])
     # F_1 equals the stage-1 specials sets, so the total pins it: beyond one
     # sort per F_m, only the census's three specials sets per stage are sorted
     assert sum(sorts.values()) == len(languages) + 3 * 8
-    assert graphs == checks == Counter(range(1, 10))
+    # no graph is built; each stage graph, stage 9 as stage 8's source, is swept once
+    assert graphs == Counter()
+    assert sweeps == Counter(range(1, 10))
     assert censuses == Counter(range(1, 9))
 
 
-def test_outputs_do_not_depend_on_hash_seed():
-    # set iteration order varies with PYTHONHASHSEED; no output may
+def test_outputs_do_not_depend_on_hash_seed(tmp_path):
+    # set iteration order varies with PYTHONHASHSEED; no output may, and no
+    # file that report writes either
     src = str(Path(rauzylab.__file__).resolve().parents[1])
     env = {k: v for k, v in os.environ.items() if k != "RAUZYLAB_OUT"}
     for argv in (
         ["verify", "--max-n", "9"],
         ["complexity", "--max-n", "10"],
         ["cohomology", "--max-n", "8", "--format", "json"],
+        ["report", "--max-n", "8", "--format", "json", "--out", "out"],
     ):
-        outputs = [
-            subprocess.run(
+        outputs = []
+        for seed in ("0", "1"):
+            cwd = tmp_path / argv[0] / seed
+            cwd.mkdir(parents=True)
+            stdout = subprocess.run(
                 [sys.executable, "-m", "rauzylab.cli", *argv],
                 env={**env, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
+                cwd=cwd,
                 capture_output=True,
                 check=True,
                 timeout=300,
             ).stdout
-            for seed in ("0", "1")
-        ]
+            outputs.append([stdout] + [f.read_bytes() for f in sorted(cwd.rglob("*")) if f.is_file()])
         assert outputs[0] == outputs[1], argv
-        assert outputs[0], argv
+        assert outputs[0][0] and len(outputs[0]) == (2 if argv[0] == "report" else 1), argv

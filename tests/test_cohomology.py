@@ -26,9 +26,12 @@ from rauzylab import (
     quotient_h1,
     specials_report,
     stage_report,
+    strongly_connected,
     verify_commutation,
 )
 from rauzylab import cohomology, kernels
+
+from conftest import DEPTH_THREE, DET_FIB, NO_DEPTH
 
 THUE_MORSE = RandomSubstitution(
     name="thue-morse", alphabet=("a", "b"), rules=(("a", ("ab",)), ("b", ("ba",)))
@@ -228,6 +231,12 @@ def test_stage_report_equals_dense_reference(fib):
         (THUE_MORSE, 8),
         (PERIOD_DOUBLING, 8),
         (THREE_LETTER, 6),
+        (noble_means_rule(3), 6),
+        (noble_means_rule(4), 6),
+        (noble_means_rule(5), 6),
+        (DET_FIB, 6),
+        (DEPTH_THREE, 6),
+        (NO_DEPTH, 6),
     )
     for rule, max_n in cases:
         for n in range(1, max_n + 1):
@@ -245,7 +254,12 @@ def test_stage_report_equals_dense_reference(fib):
     assert non_injective == {"thue-morse": [3, 6], "period-doubling": [2, 5], "abc-cba": [6]}
 
 
-def test_stage_report_rejects_disconnected_source(fib, monkeypatch):
+def edge_cells(proj: ProjectionMap):
+    """(image, tail, head) of each source edge, as the union-find reads them."""
+    return [(image, e.tail, e.head) for e, image in zip(proj.source.edges, proj.edge_map)]
+
+
+def test_stage_report_rejects_disconnected_source(fib):
     # three loops on one vertex, covered by two one-vertex components: the
     # cell maps are surjective and commute, and h1 = 3 = s(1) + 1, but
     # rank D_s = 0, not V_s - 1, so the structural induced rank would be wrong
@@ -255,12 +269,13 @@ def test_stage_report_rejects_disconnected_source(fib, monkeypatch):
     assert verify_commutation(proj)
     assert coboundary_matrix(source).rank() == 0
     assert induced_h1_map(proj) == (3, True)
-    monkeypatch.setattr(cohomology, "projection", lambda rule, n: proj)
+    connected = (strongly_connected(source), strongly_connected(target))
+    sizes = (target.vertex_count, target.edge_count, source.vertex_count, source.edge_count)
     with pytest.raises(InvariantViolationError, match="stage-2 graph is not strongly connected"):
-        stage_report(fib, 1)
+        cohomology._report(fib, 1, connected, sizes, cohomology._combined_rank(edge_cells(proj)))
 
 
-def test_stage_report_rejects_non_star_fiber(fib, monkeypatch):
+def test_stage_report_rejects_non_star_fiber(fib):
     # both edges of the two-cycle 0 -> 1 -> 0 map onto one loop, so they
     # share neither head nor tail; both graphs are strongly connected, the
     # cell maps are surjective and commute, and h1 = 3 = s(1) + 1, but the
@@ -273,9 +288,9 @@ def test_stage_report_rejects_non_star_fiber(fib, monkeypatch):
     proj = ProjectionMap(n=1, parity="odd", source=source, target=target, vertex_map=(0, 0), edge_map=(0, 0, 1, 2))
     assert verify_commutation(proj)
     assert induced_h1_map(proj) == (3, True)
-    monkeypatch.setattr(cohomology, "projection", lambda rule, n: proj)
+    assert strongly_connected(source) and strongly_connected(target)
     with pytest.raises(InvariantViolationError, match="is not a star"):
-        stage_report(fib, 1)
+        cohomology._combined_rank(edge_cells(proj))
     # over Z the fiber leaves the row 2(v1 - v0): the quotient has Z/2 torsion
     assert invariant_factors(_combined_matrix(proj)) == [1, 1, 1, 2]
 

@@ -4,21 +4,24 @@ import pytest
 
 from rauzylab import (
     DomainError,
-    RandomSubstitution,
     branching_excess,
     complexity,
     extension_table,
     first_difference,
+    noble_means_rule,
     specials_report,
 )
 
-from conftest import brute_legal
-
-THUE_MORSE = RandomSubstitution(
-    name="thue-morse", alphabet=("a", "b"), rules=(("a", ("ab",)), ("b", ("ba",)))
-)
-DET_FIB = RandomSubstitution(
-    name="det-fib", alphabet=("a", "b"), rules=(("a", ("ab",)), ("b", ("a",)))
+from conftest import (
+    DEPTH_THREE,
+    DET_FIB,
+    NO_DEPTH,
+    PERIOD_DOUBLING,
+    THREE_LETTER,
+    THUE_MORSE,
+    brute_legal,
+    census_fields,
+    table_census,
 )
 
 
@@ -53,18 +56,18 @@ def test_first_difference_figure_values(fib):
 def test_extension_table_of_single_letters(fib):
     table_a = extension_table(fib, "a")
     assert ("b", "b") in table_a.corners
-    assert table_a.corner_count == 4
+    assert len(table_a.corners) == 4
     table_b = extension_table(fib, "b")
     assert set(table_b.right) == {"a", "b"}
     assert set(table_b.left) == {"a", "b"}
-    assert table_b.corner_count == 3
+    assert len(table_b.corners) == 3
 
 
 def test_extension_table_unique_extension_not_special(fib):
     # bb extends right only by a (bbb is illegal)
     table = extension_table(fib, "bb")
     assert table.right == ("a",)
-    assert not table.is_right_special
+    assert len(table.right) < 2  # not right special
 
 
 def test_extension_table_rejects_illegal_word(fib):
@@ -95,6 +98,28 @@ def test_census_against_brute_reclassification(fib):
         assert rep.bispecials.as_set() == set(corner_counts)
         assert rep.strong_count == sum(c == 4 for c in corner_counts.values())
         assert rep.weak_count == sum(c == 2 for c in corner_counts.values())
+
+
+def test_census_equals_table_reference(fib):
+    # the census reads extension maps and only the corners inside them; the
+    # reference looks every letter and letter pair up, one table per word
+    for n in range(1, 13):
+        assert census_fields(specials_report(fib, n)) == table_census(fib, n), n
+    rules = (
+        noble_means_rule(2),
+        noble_means_rule(3),
+        noble_means_rule(4),
+        noble_means_rule(5),
+        THUE_MORSE,
+        PERIOD_DOUBLING,
+        DET_FIB,
+        THREE_LETTER,
+        DEPTH_THREE,
+        NO_DEPTH,
+    )
+    for rule in rules:
+        for n in range(1, 9):
+            assert census_fields(specials_report(rule, n)) == table_census(rule, n), (rule.name, n)
 
 
 def test_counting_identity_right_specials(fib):

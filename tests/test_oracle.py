@@ -10,46 +10,43 @@ from rauzylab import (
     InvalidRuleError,
     InvariantViolationError,
     RandomSubstitution,
+    Stage,
+    build_rauzy,
     fibonacci_number,
+    h1_rank,
+    induced_h1_map,
     is_legal,
     legal_subwords,
     noble_means_rule,
+    projection,
+    quotient_h0,
+    quotient_h1,
+    specials_report,
+    stage_report,
+    strongly_connected,
     verify_fibonacci_identity,
 )
 from rauzylab import oracle
 from rauzylab.oracle import _corner_step, _generation_windows
 
-from conftest import brute_factors, brute_generation, brute_legal, window_closure
+from conftest import (
+    DEPTH_THREE,
+    DET_FIB,
+    NO_DEPTH,
+    PERIOD_DOUBLING,
+    THREE_LETTER,
+    THUE_MORSE,
+    brute_factors,
+    brute_generation,
+    brute_legal,
+    census_fields,
+    table_census,
+    window_closure,
+)
 
 # complexity values confirmed by two independent algorithms (the corner
 # step and the tests' window closure) and by brute enumeration up to length 13
 EXPECTED_P = [2, 4, 7, 13, 22, 39, 67, 108, 183, 305, 510, 851, 1356, 2238]
-
-THUE_MORSE = RandomSubstitution(
-    name="thue-morse", alphabet=("a", "b"), rules=(("a", ("ab",)), ("b", ("ba",)))
-)
-PERIOD_DOUBLING = RandomSubstitution(
-    name="period-doubling", alphabet=("a", "b"), rules=(("a", ("ab",)), ("b", ("aa",)))
-)
-DET_FIB = RandomSubstitution(
-    name="det-fib", alphabet=("a", "b"), rules=(("a", ("ab",)), ("b", ("a",)))
-)
-THREE_LETTER = RandomSubstitution(
-    name="three-letter",
-    alphabet=("a", "b", "c"),
-    rules=(("a", ("abc", "cba")), ("b", ("ac",)), ("c", ("b",))),
-)
-# b -> c -> a is a chain of 1-letter realizations, so the least power at
-# which every realization has 2 letters (the depth k) is 3
-DEPTH_THREE = RandomSubstitution(
-    name="depth-three",
-    alphabet=("a", "b", "c"),
-    rules=(("a", ("ab", "ca")), ("b", ("c",)), ("c", ("a", "bc"))),
-)
-# a -> b -> a is a 1-letter chain at every power, so there is no depth k
-NO_DEPTH = RandomSubstitution(
-    name="no-depth", alphabet=("a", "b"), rules=(("a", ("ab", "b")), ("b", ("a",)))
-)
 
 
 def test_fibonacci_number_convention():
@@ -119,6 +116,16 @@ def test_legal_subwords_equal_window_closure_on_small_rules(rule):
         assume(False)
     for m in range(1, 7 if len(rule.alphabet) == 2 else 5):
         assert legal_subwords(rule, m).as_set() == window_closure(rule, m), (rule.rules, m)
+    # the stage facts read off words and extension maps, against the
+    # table census and the dense eliminations on built graphs
+    for n in range(1, 4):
+        assert census_fields(specials_report(rule, n)) == table_census(rule, n), (rule.rules, n)
+        assert Stage(rule, n, {}).connected == strongly_connected(build_rauzy(rule, n)), (rule.rules, n)
+        rep, proj = stage_report(rule, n), projection(rule, n)
+        assert rep.h1_rank == h1_rank(proj.target), (rule.rules, n)
+        assert (rep.induced_map_rank, rep.induced_injective) == induced_h1_map(proj), (rule.rules, n)
+        assert rep.h0_quotient_dim == quotient_h0(proj), (rule.rules, n)
+        assert rep.h1_quotient_dim == quotient_h1(proj), (rule.rules, n)
 
 
 def _count_steps(monkeypatch) -> list[int]:

@@ -1,6 +1,6 @@
 """Stage graphs, projections, strong connectivity and DOT output."""
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rauzylab import (
@@ -15,7 +15,7 @@ from rauzylab import (
     specials_report,
     strongly_connected,
 )
-from rauzylab.rauzy import right_special_vertices
+from rauzylab.rauzy import right_special_vertices, words_connected
 
 
 def test_stage_counts_match_figure(fib):
@@ -84,6 +84,27 @@ small_digraphs = st.integers(0, 7).flatmap(
 @settings(max_examples=300, deadline=None)
 def test_strong_connectivity_matches_all_pairs_reachability(g):
     assert strongly_connected(g) == reaches_all_pairs(g)
+
+
+word_sets = st.integers(1, 3).flatmap(
+    lambda n: st.sets(st.text("ab", min_size=n + 1, max_size=n + 1), min_size=1, max_size=2 ** (n + 1))
+)
+
+
+@given(word_sets)
+@settings(max_examples=300, deadline=None)
+def test_word_sweeps_match_graph_sweeps(edge_words):
+    # any set of (n+1)-words in which every n-word that starts an edge also
+    # ends one: the sweeps over words agree with those over the built graph
+    rights: dict[str, list[str]] = {}
+    lefts: dict[str, list[str]] = {}
+    for w in edge_words:
+        rights.setdefault(w[:-1], []).append(w[-1])
+        lefts.setdefault(w[1:], []).append(w[0])
+    assume(rights.keys() == lefts.keys())
+    index = {v: i for i, v in enumerate(sorted(rights))}
+    g = SimpleDigraph(len(index), tuple(Edge(w, index[w[:-1]], index[w[1:]]) for w in edge_words))
+    assert words_connected(rights, lefts) == strongly_connected(g) == reaches_all_pairs(g)
 
 
 def test_strong_connectivity_edge_cases():

@@ -116,9 +116,13 @@ def test_rule_from_json_rejects_a_non_list_realization():
         rule_from_json(payload)
 
 
-@pytest.mark.parametrize("entry", [None, True, ["1"], {"p": 1}])
+@pytest.mark.parametrize(
+    "entry",
+    [None, True, ["1"], {"p": 1}, float("inf"), -float("inf"), float("1e400"), float("nan"), "1/0", "half"],
+)
 def test_rule_from_json_rejects_a_non_numeric_probability(entry):
-    # Fraction(None) would escape as a TypeError
+    # Fraction(None) would escape as a TypeError, an infinity (JSON Infinity
+    # or 1e400) as an OverflowError, and "1/0" as a ZeroDivisionError
     payload = {
         "alphabet": ["a", "b"],
         "rules": {"a": [["b", "a"], ["a", "b"]], "b": [["a"]]},
