@@ -159,6 +159,15 @@ def _corner_step(rule: RandomSubstitution, built: list[frozenset[str]]) -> froze
     path check never fires, and from m = 3 on the search visits exactly
     the parses of a search bounded by k levels.  At m = 2, and for rules
     with no k, the path check is what ends the search.
+
+    From m > longest realization on, no corner lies in one realization,
+    and one search over v decides every corner xvy of a bispecial v.  A
+    parse reads x only in its first block, and y only in the block over
+    the last letter: it starts at y (i == len(v)), or it is a realization
+    r with r.startswith(v[i:]) and y = r[len(v) - i].  So a state (i, pre),
+    a parse of x + v[:i], serves every x whose first block gives it, and
+    is the state ``decide`` visits for each xvy it serves, with the same
+    checks: soundness and completeness are unchanged.
     """
     m = len(built)
     rights, lefts = _extensions(rule, built[m - 2], built[m - 1])
@@ -170,6 +179,7 @@ def _corner_step(rule: RandomSubstitution, built: list[frozenset[str]]) -> froze
         blocks.setdefault(r[0], []).append((a, r, len(r)))
         for i in range(len(r)):
             heads.setdefault(r[i], {})[a, r[i:]] = None
+    every = [block for bs in blocks.values() for block in bs]
 
     def decide(u: str, path: tuple[str, ...]) -> bool:
         """Whether u is a factor of a realization of theta(w) for a legal w.
@@ -198,13 +208,45 @@ def _corner_step(rule: RandomSubstitution, built: list[frozenset[str]]) -> froze
                         return True
         return False
 
+    def corners(v: str, xs: list[str], ys: list[str]) -> list[str]:
+        """The corners u = xvy for which decide(u, (u,)) holds, by one search over v."""
+        todo = {x: set(ys) for x in xs}
+
+        def accept(w: str, served: tuple[str, ...], y: str) -> None:
+            for x in served:
+                if y in todo[x] and (w in built[len(w)] if len(w) < m else w != (u := x + v + y) and decide(w, (u, w))):
+                    todo[x].discard(y)
+
+        seeds: dict[tuple[int, str], list[str]] = {}
+        for x in xs:
+            for a, t in heads.get(x, ()):
+                if (x + v).startswith(t):
+                    seeds.setdefault((len(t) - 1, a), []).append(x)
+        # seeds shared by more x's are walked first, for all of them at once
+        stack = sorted(((i, a, tuple(xx)) for (i, a), xx in seeds.items()), key=lambda st: len(st[2]))
+        while stack:
+            i, pre, served = stack.pop()
+            if not any(map(todo.get, served)):
+                continue
+            left = len(v) + 1 - i
+            # at i == len(v) the next block starts at y, so it may be any block
+            for a, r, n in blocks.get(v[i], ()) if i < len(v) else every:
+                if n < left:
+                    if v.startswith(r, i) and (w := pre + a) in built[len(w)]:
+                        stack.append((i + n, w, served))
+                elif r.startswith(v[i:]):
+                    accept(pre + a, served, r[left - 1])
+        return [x + v + y for x in xs for y in ys if y not in todo[x]]
+
     out: set[str] = set()
     for v, ys in rights.items():
         xs = lefts[v]
         if len(xs) == 1 or len(ys) == 1:
             out.update(x + v + y for x in xs for y in ys)
-        else:
+        elif m <= longest:
             out.update(u for x in xs for y in ys if decide(u := x + v + y, (u,)))
+        else:
+            out.update(corners(v, xs, ys))
     return frozenset(out)
 
 

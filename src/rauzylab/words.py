@@ -12,10 +12,6 @@ from functools import cached_property
 from typing import Iterable, Iterator
 
 
-def canonical_key(word: str) -> tuple[int, str]:
-    return (len(word), word)
-
-
 @dataclass(frozen=True)
 class WordSet:
     """A deduplicated, canonically ordered finite collection of words."""
@@ -25,7 +21,8 @@ class WordSet:
     @classmethod
     def from_iterable(cls, items: Iterable[str]) -> "WordSet":
         members = frozenset(items)  # the same object when items is a frozenset
-        word_set = cls(tuple(sorted(members, key=canonical_key)))
+        # sorted by length, and stably, so words of one length stay lexicographic
+        word_set = cls(tuple(sorted(sorted(members), key=len)))
         object.__setattr__(word_set, "_members", members)  # seeds the cached property
         return word_set
 

@@ -1,6 +1,9 @@
 """Generation windows and the legal-factor oracle against brute enumeration."""
 
+import hashlib
+import json
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -21,6 +24,7 @@ from rauzylab import (
     projection,
     quotient_h0,
     quotient_h1,
+    resolve_rule,
     specials_report,
     stage_report,
     strongly_connected,
@@ -28,6 +32,7 @@ from rauzylab import (
 )
 from rauzylab import oracle
 from rauzylab.oracle import _corner_step, _generation_windows
+from rauzylab.words import WordSet
 
 from conftest import (
     DEPTH_THREE,
@@ -307,3 +312,25 @@ def test_noble_two_language_is_smaller_than_fibonacci(fib):
     # both start with the full binary square but diverge later
     assert legal_subwords(noble, 2).as_set() == {"aa", "ab", "ba", "bb"}
     assert len(legal_subwords(noble, 6)) < len(legal_subwords(fib, 6))
+
+
+def test_word_sets_are_ordered_by_length_then_lexicographically():
+    words = ["ba", "b", "aab", "ab", "a", "bb", "aa", "ba", "abb"]
+    expected = ("a", "b", "aa", "ab", "ba", "bb", "aab", "abb")
+    for items in (words, reversed(words), frozenset(words)):
+        word_set = WordSet.from_iterable(items)
+        assert word_set.words == expected
+        assert word_set.as_set() == frozenset(expected)
+
+
+def test_languages_match_pinned_digests():
+    # sha256 of each F_m as its words in canonical order joined by newlines,
+    # m = 1, 2, ...; recorded when every corner had a parse search of its own
+    digests = json.loads((Path(__file__).parent / "language_digests.json").read_text())
+    rules = {r.name: r for r in (THREE_LETTER, DEPTH_THREE, NO_DEPTH, DET_FIB)}
+    assert len(digests) == 9
+    for name, expected in digests.items():
+        rule = rules[name] if name in rules else resolve_rule(name)
+        for m, digest in enumerate(expected, 1):
+            words = "\n".join(legal_subwords(rule, m))
+            assert hashlib.sha256(words.encode()).hexdigest() == digest, (name, m)
