@@ -7,8 +7,9 @@ size of their legal corner set {(x, y) : xvy legal}: strong when all
 four corners occur, weak when only two, neutral when three.
 
 The census reads the extension maps of F_n into F_{n+1} that the oracle's
-corner step builds, and looks up in F_{n+2} only the corners xvy with x in
-L(v) and y in R(v): the corner step builds F_{n+2} from those corners.
+corner step builds, and looks up in F_{n+2} only the corners of bispecials:
+the corner step adds every xvy of a word with one left or one right
+extension, so a lookup there could only confirm what the step built.
 """
 
 from __future__ import annotations
@@ -71,45 +72,43 @@ class SpecialsReport:
 
 
 def specials_report(rule: RandomSubstitution, n: int) -> SpecialsReport:
-    """Classify every legal length-n factor by its extension maps and corners, in one pass.
+    """Classify every legal length-n factor by its extension maps, and each bispecial by its corners.
 
     The same pass decides two identities.  ``bispecial_identity`` is
     s(n+1) - s(n) == strong(n) - weak(n).  ``no_weak_bispecials`` holds iff
     every bispecial has at least three legal corners and every right (left)
-    special admits a common left (right) extension letter.  Raises if a
-    word has no legal corner, or if the census contradicts the binary
-    counting identities (s(n) equals the number of right specials and of
-    left specials); such a failure would signal a bug in the language
-    oracle.
+    special admits a common left (right) extension letter.  Only bispecial
+    corners are looked up in F_{n+2}: a word with one left or one right
+    extension has every xvy legal, by the lemma of the corner step, which
+    adds them all.  Raises if a bispecial has no legal corner, or if the
+    census contradicts the binary counting identities (s(n) equals the
+    number of right specials and of left specials); such a failure would
+    signal a bug in the language oracle.
     """
     if n < 1:
         raise ValueError("length must be >= 1")
     words, longer, corner_set = (legal_subwords(rule, m).as_set() for m in (n, n + 1, n + 2))
     p, s = len(words), len(longer) - len(words)
-    rights, lefts, bis = [], [], []
     strong = weak = neutral = 0
     no_weak = True
     right_map, left_map = _extensions(rule, words, longer)
-    for v, ys in right_map.items():
-        xs = left_map[v]
+    rights = [v for v, ys in right_map.items() if len(ys) >= 2]
+    lefts = [v for v, xs in left_map.items() if len(xs) >= 2]
+    bis = [v for v in rights if len(left_map[v]) >= 2]
+    for v in bis:
+        xs, ys = left_map[v], right_map[v]
         corners = {(x, y) for x in xs for y in ys if x + v + y in corner_set}
         if not corners:
             raise InvariantViolationError(f"legal factor {v!r} has no legal corner extension")
-        if len(ys) >= 2:
-            rights.append(v)
-            no_weak &= any(all((x, y) in corners for y in ys) for x in xs)
-        if len(xs) >= 2:
-            lefts.append(v)
-            no_weak &= any(all((x, y) in corners for x in xs) for y in ys)
-            if len(ys) >= 2:
-                bis.append(v)
-                no_weak &= len(corners) >= 3
-                if len(corners) == 4:
-                    strong += 1
-                elif len(corners) == 2:
-                    weak += 1
-                else:
-                    neutral += 1
+        no_weak &= any(all((x, y) in corners for y in ys) for x in xs)
+        no_weak &= any(all((x, y) in corners for x in xs) for y in ys)
+        no_weak &= len(corners) >= 3
+        if len(corners) == 4:
+            strong += 1
+        elif len(corners) == 2:
+            weak += 1
+        else:
+            neutral += 1
     if len(rule.alphabet) == 2 and not len(rights) == len(lefts) == s:
         raise InvariantViolationError(
             f"specials count mismatch at n={n}: rs={len(rights)} ls={len(lefts)} s={s}"

@@ -9,7 +9,10 @@ factor of one realization of theta(w) for a legal word w.
 F_1 is the alphabet.  Every F_m with m >= 2 comes from ``_corner_step``,
 which builds F_m from F_{m-1}, starting at F_0 = {""}, and parses only
 the corners of bispecial words back to shorter legal words; its docstring
-proves that the search ends and finds every legal corner.
+proves that the search ends and finds every legal corner.  When every
+letter's realizations are closed under string reversal, as for random
+Fibonacci and every noble:m, so is the language, and the step searches
+only one bispecial of each pair {v, rev(v)}.
 
 Both preconditions are checked, never assumed: the rule must be primitive
 (some power of its letter-incidence matrix is positive) and expanding
@@ -126,6 +129,11 @@ def _check_primitive(rule: RandomSubstitution) -> None:
         )
 
 
+def _reversal_closed(rule: RandomSubstitution) -> bool:
+    """Whether every letter's set of realizations is closed under string reversal."""
+    return all({r[::-1] for r in rule.realizations(a)} == set(rule.realizations(a)) for a in rule.alphabet)
+
+
 def _corner_step(rule: RandomSubstitution, built: list[frozenset[str]]) -> frozenset[str]:
     """F_m from built[j] = F_j for j < m (F_0 = {""}), deciding only the corners of bispecials.
 
@@ -168,6 +176,14 @@ def _corner_step(rule: RandomSubstitution, built: list[frozenset[str]]) -> froze
     a parse of x + v[:i], serves every x whose first block gives it, and
     is the state ``decide`` visits for each xvy it serves, with the same
     checks: soundness and completeness are unchanged.
+
+    If every letter's realizations are closed under reversal, so is the
+    language: by induction on k, a realization r_1...r_n of theta^k(c), r_i
+    one of d_i and d one of theta^(k-1)(c), reverses to a realization of
+    theta(rev d), and rev d is one of theta^(k-1)(c).  So xvy is legal
+    exactly when y rev(v) x is.  Of a bispecial pair v != rev(v), checked
+    to have L(rev v) = R(v) and R(rev v) = L(v), the one that sorts first
+    is searched, and its corners, reversed, are those of the other.
     """
     m = len(built)
     rights, lefts = _extensions(rule, built[m - 2], built[m - 1])
@@ -238,15 +254,22 @@ def _corner_step(rule: RandomSubstitution, built: list[frozenset[str]]) -> froze
                     accept(pre + a, served, r[left - 1])
         return [x + v + y for x in xs for y in ys if y not in todo[x]]
 
+    mirror = _reversal_closed(rule)
     out: set[str] = set()
     for v, ys in rights.items():
         xs = lefts[v]
         if len(xs) == 1 or len(ys) == 1:
             out.update(x + v + y for x in xs for y in ys)
-        elif m <= longest:
-            out.update(u for x in xs for y in ys if decide(u := x + v + y, (u,)))
-        else:
-            out.update(corners(v, xs, ys))
+            continue
+        if mirror and (rv := v[::-1]) != v:
+            if rv not in rights or set(lefts[rv]) != set(ys) or set(rights[rv]) != set(xs):
+                raise InvariantViolationError(f"rule {rule.name!r}: the extensions of {v!r} and {rv!r} do not mirror")
+            if rv < v:
+                continue  # its corners come from the search over rv
+        found = corners(v, xs, ys) if m > longest else [u for x in xs for y in ys if decide(u := x + v + y, (u,))]
+        out.update(found)
+        if mirror:
+            out.update(u[::-1] for u in found)
     return frozenset(out)
 
 

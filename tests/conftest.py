@@ -33,6 +33,12 @@ THREE_LETTER = RandomSubstitution(
     alphabet=("a", "b", "c"),
     rules=(("a", ("abc", "cba")), ("b", ("ac",)), ("c", ("b",))),
 )
+# every letter's realizations are closed under reversal, so the language is too
+MIRROR_THREE = RandomSubstitution(
+    name="mirror-three",
+    alphabet=("a", "b", "c"),
+    rules=(("a", ("abc", "cba")), ("b", ("ac", "ca")), ("c", ("b",))),
+)
 # b -> c -> a is a chain of 1-letter realizations, so the least power at
 # which every realization has 2 letters (the depth k) is 3
 DEPTH_THREE = RandomSubstitution(

@@ -15,6 +15,7 @@ from rauzylab import (
 from conftest import (
     DEPTH_THREE,
     DET_FIB,
+    MIRROR_THREE,
     NO_DEPTH,
     PERIOD_DOUBLING,
     THREE_LETTER,
@@ -116,6 +117,7 @@ def test_census_equals_table_reference(fib):
         THREE_LETTER,
         DEPTH_THREE,
         NO_DEPTH,
+        MIRROR_THREE,
     )
     for rule in rules:
         for n in range(1, 9):

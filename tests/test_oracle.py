@@ -37,6 +37,7 @@ from rauzylab.words import WordSet
 from conftest import (
     DEPTH_THREE,
     DET_FIB,
+    MIRROR_THREE,
     NO_DEPTH,
     PERIOD_DOUBLING,
     THREE_LETTER,
@@ -97,7 +98,7 @@ def test_legal_subwords_equal_window_closure(fib):
         for m in range(1, 13):
             expected = window_closure(rule, m)
             assert legal_subwords(rule, m).as_set() == expected, (rule.name, m)
-    for rule in (DEPTH_THREE, NO_DEPTH):
+    for rule in (DEPTH_THREE, NO_DEPTH, MIRROR_THREE):
         for m in range(1, 9):
             assert legal_subwords(rule, m).as_set() == window_closure(rule, m), (rule.name, m)
 
@@ -131,6 +132,54 @@ def test_legal_subwords_equal_window_closure_on_small_rules(rule):
         assert (rep.induced_map_rank, rep.induced_injective) == induced_h1_map(proj), (rule.rules, n)
         assert rep.h0_quotient_dim == quotient_h0(proj), (rule.rules, n)
         assert rep.h1_quotient_dim == quotient_h1(proj), (rule.rules, n)
+
+
+@st.composite
+def mirror_rules(draw) -> RandomSubstitution:
+    """A ``small_rules`` draw with each letter's realizations closed under reversal."""
+    rule = draw(small_rules())
+    closed = tuple((a, tuple(dict.fromkeys(w for r in rs for w in (r, r[::-1])))) for a, rs in rule.rules)
+    return RandomSubstitution(name="drawn-mirror", alphabet=rule.alphabet, rules=closed)
+
+
+@settings(max_examples=50, deadline=None)
+@given(mirror_rules())
+def test_mirror_rules_equal_window_closure_and_table_census(rule):
+    # the corner step searches one bispecial of each mirror pair and reverses
+    # its corners for the other
+    try:
+        oracle._check_primitive(rule)
+    except InvalidRuleError:
+        assume(False)
+    assert oracle._reversal_closed(rule)
+    for m in range(1, 7):
+        assert legal_subwords(rule, m).as_set() == window_closure(rule, m), (rule.rules, m)
+    for n in range(1, 5):
+        assert census_fields(specials_report(rule, n)) == table_census(rule, n), (rule.rules, n)
+
+
+def test_reversal_closed_rules():
+    closed = [resolve_rule("fib"), MIRROR_THREE] + [noble_means_rule(k) for k in range(1, 6)]
+    for rule in closed:
+        assert oracle._reversal_closed(rule), rule.name
+        for m in range(1, 11):
+            words = legal_subwords(rule, m).as_set()
+            assert words == {w[::-1] for w in words}, (rule.name, m)
+    for rule in (THREE_LETTER, DEPTH_THREE, NO_DEPTH, DET_FIB, THUE_MORSE, PERIOD_DOUBLING):
+        assert not oracle._reversal_closed(rule), rule.name
+    # a -> abc|cba is closed but b -> ac is not, and from m = 3 on neither is the language
+    for m in range(3, 9):
+        words = legal_subwords(THREE_LETTER, m).as_set()
+        assert words != {w[::-1] for w in words}, m
+    assert [len(legal_subwords(MIRROR_THREE, m)) for m in range(1, 9)] == [3, 9, 24, 58, 132, 284, 568, 1118]
+
+
+def test_corner_step_checks_that_mirror_pairs_mirror(fib):
+    # without bbaa, aab stays bispecial in F_3 -> F_4 but its reversal baa does not
+    built = [frozenset([""])] + [legal_subwords(fib, j).as_set() for j in range(1, 5)]
+    built[4] = built[4] - {"bbaa"}
+    with pytest.raises(InvariantViolationError, match="mirror"):
+        _corner_step(fib, built)
 
 
 def _count_steps(monkeypatch) -> list[int]:
