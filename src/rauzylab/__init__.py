@@ -3,11 +3,9 @@ random substitutions."""
 
 from .cohomology import (
     CohomologyReport,
-    DirectLimitReport,
     InducedMap,
     Stage,
     coboundary_matrix,
-    direct_limit_report,
     h1_rank,
     induced_h1_map,
     pullback_matrices,

@@ -294,45 +294,3 @@ def stage_tower(rule: RandomSubstitution, max_n: int) -> Iterator[Stage]:
     for n in range(1, max_n + 1):
         swept = {n: swept[n]} if n in swept else {}
         yield Stage(rule, n, swept)
-
-
-@dataclass(frozen=True)
-class DirectLimitReport:
-    """Finite-tower witness data for the direct system of h1 groups."""
-
-    stages: tuple[CohomologyReport, ...]
-    all_injective: bool
-    strict_rank_increases: int
-
-    @property
-    def witnesses_unbounded_growth(self) -> bool:
-        return self.all_injective and self.strict_rank_increases > 0
-
-
-def direct_limit_report(rule: RandomSubstitution, max_stage: int) -> DirectLimitReport:
-    """Per-stage reports for stages 1..max_stage with tower-level verdicts.
-
-    Raises on the first stage whose invariants fail; additionally checks
-    each degree-1 quotient dimension against the strong-bispecial count
-    from the specials census.
-    """
-    if max_stage < 2:
-        raise ValueError("need at least two stages")
-    stages = []
-    for stage in stage_tower(rule, max_stage):
-        report = stage.report()
-        census = stage.census()
-        expected_jump = census.strong_count - census.weak_count
-        if report.h1_quotient_dim != expected_jump:
-            raise InvariantViolationError(
-                f"stage {stage.n}: quotient h1 {report.h1_quotient_dim} != "
-                f"bispecial excess {expected_jump}"
-            )
-        stages.append(report)
-    ranks = [r.h1_rank for r in stages]
-    strict = sum(1 for a, b in zip(ranks, ranks[1:]) if b > a)
-    return DirectLimitReport(
-        stages=tuple(stages),
-        all_injective=all(r.induced_injective for r in stages),
-        strict_rank_increases=strict,
-    )

@@ -8,8 +8,9 @@ factor of one realization of theta(w) for a legal word w.
 
 F_1 is the alphabet.  Every F_m with m >= 2 comes from ``_corner_step``,
 which builds F_m from F_{m-1}, starting at F_0 = {""}, and parses only
-the corners of bispecial words back to shorter legal words; its docstring
-proves that the search ends and finds every legal corner.  When every
+the corners of bispecial words back to shorter legal words, by one search
+per bispecial for all its corners; its docstring proves that this search
+accepts only legal corners, finds every one, and ends.  When every
 letter's realizations are closed under string reversal, as for random
 Fibonacci and every noble:m, so is the language, and the step searches
 only one bispecial of each pair {v, rev(v)}.
@@ -140,25 +141,37 @@ def _corner_step(rule: RandomSubstitution, built: list[frozenset[str]]) -> froze
     Every legal m-word is xvy with xv and vy in F_{m-1}.  If v has one
     right extension y, every legal xv extends, and only by y, so xvy is
     legal for every x; the same holds with one left extension.  The other
-    xvy, the corners of bispecial v, are decided by ``decide``, which
-    parses a corner u into blocks of theta: a nonempty suffix of a
-    realization, whole realizations, and a nonempty prefix of a
-    realization (one block is the case that u lies in one realization).
-    A preimage shorter than m is looked up in F_j; one of length m, which
-    only 1-letter realizations give, is parsed in turn unless it is
-    already on the current path of full-length preimages.  There are
-    finitely many m-words, so the search ends.
+    xvy, the corners of bispecial v, are decided by ``corners``, one
+    search over v for all of them.  A corner u that lies in one
+    realization (possible only while m <= the longest one) is legal at
+    once.  Any other u is parsed into blocks of theta: a nonempty suffix
+    of a realization, whole realizations, and a nonempty prefix of a
+    realization, with preimage w, one letter per block.  A w shorter than
+    m is looked up in F_j; one of length m, which only 1-letter
+    realizations give, is decided by the same search over w[1:-1] with the
+    one corner w, unless w is on the path: u, and the corners whose
+    searches led to this one.  A parse reads x only in its first block and
+    y only in its last, which starts at y (i == len(v)) or is a
+    realization r with r.startswith(v[i:]) and y = r[len(v) - i].  So a
+    state (i, pre), a parse of x + v[:i], serves every x whose first block
+    gives it, and its last block names the y it decides.
 
-    Sound: u is accepted only as a factor of a realization of theta(w)
-    for a legal w.  Complete: a legal u lies in a realization of
-    theta^N(c) for some letter c.  Take at each level the shortest factor
-    whose image covers the word below it.  Each block of that parse gives
-    at least one letter, so this is a chain u = w_0, w_1, ..., w_N = c of
-    preimages of non-increasing length that ends in one letter.  Cut its
-    cycles (w_i = w_j with i < j: drop w_{i+1}..w_j).  What is left is an
-    acyclic chain of preimages that reaches a word shorter than m through
-    distinct full-length words, so the search visits it and finds that
-    word in F_j.
+    Sound: u is accepted only in a realization of a letter, or in one of
+    theta(w) with w in F_j or accepted by a nested search, so legal by
+    induction on the nesting.  Complete: a legal u lies in a realization
+    of theta^N(c) for some letter c.  Take at each level the shortest
+    factor whose image covers the word below it.  Each block of that parse
+    gives at least one letter, so this is a chain u = w_0, w_1, ..., w_N =
+    c of legal preimages of non-increasing length that ends in one letter.
+    Cut its cycles (w_i = w_j with i < j: drop w_{i+1}..w_j).  What is
+    left reaches a word shorter than m through distinct full-length words
+    w_0..w_i, and w_0..w_h is the path where w_h is parsed, so the path
+    check cuts no link.  Every proper prefix of a preimage is legal and
+    shorter than m, so the search finds each parse: it accepts w_i, by one
+    realization or by its preimage in F_j, and then each link before it.
+    Ends: each state moves past at least one letter of v, and a nested
+    search runs only for a word off the path, which it adds, so the
+    nesting is no deeper than the number of m-words.
 
     Where the rule has a depth k (the least power at which every
     realization of theta^k has at least 2 letters), a parse at depth k has
@@ -167,15 +180,6 @@ def _corner_step(rule: RandomSubstitution, built: list[frozenset[str]]) -> froze
     path check never fires, and from m = 3 on the search visits exactly
     the parses of a search bounded by k levels.  At m = 2, and for rules
     with no k, the path check is what ends the search.
-
-    From m > longest realization on, no corner lies in one realization,
-    and one search over v decides every corner xvy of a bispecial v.  A
-    parse reads x only in its first block, and y only in the block over
-    the last letter: it starts at y (i == len(v)), or it is a realization
-    r with r.startswith(v[i:]) and y = r[len(v) - i].  So a state (i, pre),
-    a parse of x + v[:i], serves every x whose first block gives it, and
-    is the state ``decide`` visits for each xvy it serves, with the same
-    checks: soundness and completeness are unchanged.
 
     If every letter's realizations are closed under reversal, so is the
     language: by induction on k, a realization r_1...r_n of theta^k(c), r_i
@@ -188,7 +192,7 @@ def _corner_step(rule: RandomSubstitution, built: list[frozenset[str]]) -> froze
     m = len(built)
     rights, lefts = _extensions(rule, built[m - 2], built[m - 1])
     realizations = [(a, r) for a in rule.alphabet for r in rule.realizations(a)]
-    longest = max(len(r) for _, r in realizations)
+    covering = [r for _, r in realizations if len(r) >= m]  # those an m-word can lie in
     blocks: dict[str, list[tuple[str, str, int]]] = {}
     heads: dict[str, dict[tuple[str, str], None]] = {}
     for a, r in realizations:
@@ -197,40 +201,20 @@ def _corner_step(rule: RandomSubstitution, built: list[frozenset[str]]) -> froze
             heads.setdefault(r[i], {})[a, r[i:]] = None
     every = [block for bs in blocks.values() for block in bs]
 
-    def decide(u: str, path: tuple[str, ...]) -> bool:
-        """Whether u is a factor of a realization of theta(w) for a legal w.
+    def corners(v: str, xs: list[str], ys: list[str], path: tuple[str, ...] = ()) -> list[str]:
+        """The legal corners xvy, x in xs and y in ys, by one search over v.
 
-        ``path`` holds the full-length words on the way to u, u included.
-        A shortest w parses u into blocks; each preimage prefix is looked
-        up in the shorter F_j, and a full-length preimage off the path is
-        decided by parsing it in turn.
+        ``path`` holds the corners whose searches led to this one.
         """
-        if m <= longest and any(u in r for _, r in realizations):
-            return True
-        stack = [(len(s), a) for a, s in heads.get(u[0], ()) if len(s) < m and u.startswith(s)]
-        while stack:
-            pos, pre = stack.pop()
-            left = m - pos
-            for a, r, n in blocks.get(u[pos], ()):
-                if n < left:
-                    if u.startswith(r, pos) and (w := pre + a) in built[len(w)]:
-                        stack.append((pos + n, w))
-                elif r.startswith(u[pos:]):
-                    w = pre + a
-                    if len(w) < m:
-                        if w in built[len(w)]:
-                            return True
-                    elif w not in path and decide(w, path + (w,)):
-                        return True
-        return False
-
-    def corners(v: str, xs: list[str], ys: list[str]) -> list[str]:
-        """The corners u = xvy for which decide(u, (u,)) holds, by one search over v."""
-        todo = {x: set(ys) for x in xs}
+        todo = {x: {y for y in ys if not any(x + v + y in r for r in covering)} for x in xs}
 
         def accept(w: str, served: tuple[str, ...], y: str) -> None:
             for x in served:
-                if y in todo[x] and (w in built[len(w)] if len(w) < m else w != (u := x + v + y) and decide(w, (u, w))):
+                if y in todo[x] and (
+                    w in built[len(w)]
+                    if len(w) < m
+                    else w not in (on := path + (x + v + y,)) and corners(w[1:-1], [w[0]], [w[-1]], on)
+                ):
                     todo[x].discard(y)
 
         seeds: dict[tuple[int, str], list[str]] = {}
@@ -266,7 +250,7 @@ def _corner_step(rule: RandomSubstitution, built: list[frozenset[str]]) -> froze
                 raise InvariantViolationError(f"rule {rule.name!r}: the extensions of {v!r} and {rv!r} do not mirror")
             if rv < v:
                 continue  # its corners come from the search over rv
-        found = corners(v, xs, ys) if m > longest else [u for x in xs for y in ys if decide(u := x + v + y, (u,))]
+        found = corners(v, xs, ys)
         out.update(found)
         if mirror:
             out.update(u[::-1] for u in found)
@@ -280,7 +264,8 @@ def _legal_subword_set(rule: RandomSubstitution, m: int) -> WordSet:
     The rule is checked primitive and expanding before any F_m.  Each
     step reads F_0..F_{m-1} as locals and checks that F_{m-2} and F_{m-1}
     extend into each other, so every pair from (F_0, F_1) on is checked.
-    Each F_m is sorted once, here, and served from this cache.
+    Each F_m is served from this cache, and sorted only where its order
+    is read.
     """
     _check_primitive(rule)
     if m == 1:

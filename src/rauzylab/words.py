@@ -2,7 +2,8 @@
 
 Words are plain strings over a small alphabet.  The canonical order used
 everywhere downstream (graph vertex indexing, matrix layouts, CSV output)
-is length first, then lexicographic.
+is length first, then lexicographic.  A word set is sorted only when its
+order is first read.
 """
 
 from __future__ import annotations
@@ -14,33 +15,30 @@ from typing import Iterable, Iterator
 
 @dataclass(frozen=True)
 class WordSet:
-    """A deduplicated, canonically ordered finite collection of words."""
+    """A deduplicated finite collection of words, listed in canonical order."""
 
-    words: tuple[str, ...]
+    members: frozenset[str]
 
     @classmethod
     def from_iterable(cls, items: Iterable[str]) -> "WordSet":
-        members = frozenset(items)  # the same object when items is a frozenset
-        # sorted by length, and stably, so words of one length stay lexicographic
-        word_set = cls(tuple(sorted(sorted(members), key=len)))
-        object.__setattr__(word_set, "_members", members)  # seeds the cached property
-        return word_set
+        return cls(frozenset(items))  # the same object when items is a frozenset
 
     @cached_property
-    def _members(self) -> frozenset[str]:
-        return frozenset(self.words)
+    def words(self) -> tuple[str, ...]:
+        # sorted by length, and stably, so words of one length stay lexicographic
+        return tuple(sorted(sorted(self.members), key=len))
 
     def __contains__(self, word: object) -> bool:
-        return word in self._members
+        return word in self.members
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.words)
 
     def __len__(self) -> int:
-        return len(self.words)
+        return len(self.members)
 
     def __bool__(self) -> bool:
-        return bool(self.words)
+        return bool(self.members)
 
     def as_set(self) -> frozenset[str]:
-        return self._members
+        return self.members

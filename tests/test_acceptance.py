@@ -9,7 +9,6 @@ from math import sqrt
 from rauzylab import (
     build_rauzy,
     complexity,
-    direct_limit_report,
     fibonacci_rule,
     first_difference,
     h1_rank,
@@ -22,6 +21,7 @@ from rauzylab import (
     quotient_h1,
     sample_inflation,
     specials_report,
+    stage_tower,
     strongly_connected,
     verify_commutation,
     verify_fibonacci_identity,
@@ -113,10 +113,14 @@ def test_criterion_09_cochain_algebra():
 
 
 def test_criterion_10_growth_witness():
-    tower = direct_limit_report(RULE, 10)
-    ranks = [r.h1_rank for r in tower.stages]
-    strict = tower.strict_rank_increases
-    ok = ranks == sorted(ranks) and strict >= 3 and tower.all_injective
+    ranks, ok = [], True
+    for stage in stage_tower(RULE, 10):
+        coh, census = stage.report(), stage.census()
+        ok &= coh.induced_injective and coh.h1_rank == first_difference(RULE, stage.n) + 1
+        ok &= coh.h1_quotient_dim == census.strong_count - census.weak_count
+        ranks.append(coh.h1_rank)
+    strict = sum(b > a for a, b in zip(ranks, ranks[1:]))
+    ok &= ranks == sorted(ranks) and strict >= 3
     report(10, ok, f"ranks {ranks}: {strict} strict increases, all bonding maps injective")
 
 

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -307,15 +308,15 @@ def test_cohomology_invariant_failure_exits_nonzero(capsys, monkeypatch):
     assert "synthetic failure" in err
 
 
-def test_verify_builds_each_stage_fact_once(capsys, monkeypatch):
+def test_verify_builds_each_stage_fact_once(capsys, monkeypatch, tmp_path):
     sorts, graphs, sweeps, censuses = Counter(), Counter(), Counter(), Counter()
-    from_iterable = WordSet.from_iterable.__func__
+    sort = WordSet.__dict__["words"].func
     build, connected, census = rauzy.build_rauzy, cohomology.words_connected, cohomology.specials_report
 
-    def counted_sort(cls, items):
-        word_set = from_iterable(cls, items)
-        sorts[word_set.words] += 1
-        return word_set
+    def counted_sort(word_set):
+        words = sort(word_set)
+        sorts[words] += 1
+        return words
 
     def counted_build(rule, n):
         graphs[n] += 1
@@ -329,26 +330,30 @@ def test_verify_builds_each_stage_fact_once(capsys, monkeypatch):
         censuses[n] += 1
         return census(rule, n)
 
-    monkeypatch.setattr(WordSet, "from_iterable", classmethod(counted_sort))
+    counted_words = cached_property(counted_sort)
+    counted_words.__set_name__(WordSet, "words")
+    monkeypatch.setattr(WordSet, "words", counted_words)
     for module in (rauzy, cli):
         monkeypatch.setattr(module, "build_rauzy", counted_build)
     monkeypatch.setattr(cohomology, "words_connected", counted_sweep)
     monkeypatch.setattr(cohomology, "specials_report", counted_census)
-    oracle._legal_subword_set.cache_clear()  # so that every F_m is built, and sorted, in this run
+    monkeypatch.delenv("RAUZYLAB_OUT", raising=False)
+    oracle._legal_subword_set.cache_clear()  # so that every F_m is built in this run
     code, out, _ = run_cli(capsys, "verify", "--rule", "fib", "--max-n", "8")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_FIB_8_SHA256
     assert out.endswith("OK: 0 failing check(s) out of 77\n")
-    # F_1..F_13: the census and sweeps read F_1..F_10, the identity at stage 7 reads F_13
-    languages = [legal_subwords(fibonacci_rule(), m).words for m in range(1, 14)]
-    assert all(sorts[words] == 1 for words in languages[1:])
-    # F_1 equals the stage-1 specials sets, so the total pins it: beyond one
-    # sort per F_m, only the census's three specials sets per stage are sorted
-    assert sum(sorts.values()) == len(languages) + 3 * 8
-    # no graph is built; each stage graph, stage 9 as stage 8's source, is swept once
+    # no word set's order is read, so nothing is sorted, and no graph is built;
+    # each stage graph, stage 9 as stage 8's source, is swept once
+    assert sorts == Counter()
     assert graphs == Counter()
     assert sweeps == Counter(range(1, 10))
     assert censuses == Counter(range(1, 9))
+    # report's DOT files list F_1..F_4 in order: each is sorted once, from the cache
+    assert run_cli(capsys, "report", "--max-n", "3", "--out", str(tmp_path))[0] == 0
+    assert graphs == Counter(range(1, 4))
+    sorted_by_report = Counter(sorts)  # reading the cached orders below sorts nothing more
+    assert sorted_by_report == Counter(legal_subwords(fibonacci_rule(), m).words for m in range(1, 5))
 
 
 def test_outputs_do_not_depend_on_hash_seed(tmp_path):
