@@ -18,7 +18,6 @@ from .cohomology import (
 from .complexity import (
     ExtensionTable,
     SpecialsReport,
-    branching_excess,
     complexity,
     extension_table,
     first_difference,

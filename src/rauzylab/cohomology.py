@@ -3,13 +3,18 @@
 The dense functions build the stage graphs, the coboundaries D and the 0/1
 fiber-indicator pullbacks M0, M1, and take every rank by exact elimination;
 they are the reference.  ``Stage.report`` builds no graph and runs no
-elimination: it reads F_n, F_{n+1}, F_{n+2} and the extension maps of
-F_{n+1} into F_{n+2}.  Four ranks come from structure, each checked where
-it arises: rank D = V - 1 on both stage graphs, which sweeps over words
-check strongly connected; rank M0 = V_t and rank M1 = E_t, because both
-letter-drop maps cover their targets (their images are the keys of
-extension maps, which ``_extensions`` checks); and D_s M0 = M1 D_t, since
-dropping a letter commutes with taking the tail and the head of a word.
+elimination: it reads the word sets F_n, F_{n+1} and F_{n+2} by membership.
+Four ranks come from structure, each checked where it arises: rank D =
+V - 1 on both stage graphs, which sweeps over words check strongly
+connected; rank M0 = V_t and rank M1 = E_t, because both letter-drop maps
+cover their targets; and D_s M0 = M1 D_t, since dropping a letter commutes
+with taking the tail and the head of a word.  The maps cover their targets
+because the report raises unless both stage graphs are strongly connected,
+and each has at least two vertices: the corner step checks that F_j
+extends into F_{j+1} for j <= n, so each letter begins a word of F_n and
+of F_{n+1}.  So every vertex starts an edge and ends one: each word of F_n
+is the prefix and the suffix of a word of F_{n+1}, and each word of
+F_{n+1} of one of F_{n+2}.
 
 The fifth, C = rank [M1 | D_s], is a graph-component count.  Row e of
 [M1 | D_s] is a unit at the image edge beside the coboundary row
@@ -49,7 +54,7 @@ from typing import Hashable, Iterable, Iterator, NamedTuple
 
 from .complexity import SpecialsReport, first_difference, specials_report
 from .errors import InvariantViolationError
-from .oracle import _extensions, legal_subwords
+from .oracle import legal_subwords
 from .rational import RationalMatrix
 from .rauzy import ProjectionMap, RauzyGraph, SimpleDigraph, strongly_connected, words_connected
 from .rules import RandomSubstitution
@@ -253,33 +258,28 @@ class Stage:
     def __init__(self, rule: RandomSubstitution, n: int, swept: dict[int, bool]) -> None:
         self.rule, self.n, self.swept = rule, n, swept  # stage -> strongly connected
 
-    def _maps(self, m: int) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
-        """The extension maps of F_m into F_{m+1}; the stage-m graph is swept on first reading."""
-        maps = _extensions(self.rule, legal_subwords(self.rule, m).as_set(), legal_subwords(self.rule, m + 1).as_set())
+    def _connected(self, m: int) -> bool:
+        """Whether the stage-m graph is strongly connected; it is swept on first reading."""
         if m not in self.swept:
-            self.swept[m] = words_connected(*maps)
-        return maps
+            words, longer = (legal_subwords(self.rule, j).as_set() for j in (m, m + 1))
+            self.swept[m] = words_connected(self.rule.alphabet, words, longer)
+        return self.swept[m]
 
     @property
     def connected(self) -> bool:
-        if self.n not in self.swept:
-            self._maps(self.n)
-        return self.swept[self.n]
+        return self._connected(self.n)
 
     def census(self) -> SpecialsReport:
         return specials_report(self.rule, self.n)
 
     def report(self) -> CohomologyReport:
-        """The cochain report of stage n; the edge fibers of the letter-drop map
-        are {cy : y in R(c)} (n even) or {xc : x in L(c)} (n odd), c in F_{n+1}."""
+        """The cochain report of stage n; the source edges are the words w of F_{n+2}, from w[:-1] to w[1:],
+        and the letter-drop map sends w to w[:-1] (n even) or to w[1:] (n odd)."""
         rule, n = self.rule, self.n
-        rights, lefts = self._maps(n + 1)
-        if n % 2 == 0:
-            cells = ((c, c, c[1:] + y) for c, ys in rights.items() for y in ys)
-        else:
-            cells = ((c, x + c[:-1], c) for c, xs in lefts.items() for x in xs)
+        drop = slice(None, -1) if n % 2 == 0 else slice(1, None)
+        cells = ((w[drop], w[:-1], w[1:]) for w in legal_subwords(rule, n + 2).as_set())
         sizes = tuple(len(legal_subwords(rule, m)) for m in (n, n + 1, n + 1, n + 2))
-        return _report(rule, n, (self.swept[n + 1], self.connected), sizes, _combined_rank(cells))
+        return _report(rule, n, (self._connected(n + 1), self.connected), sizes, _combined_rank(cells))
 
 
 def stage_report(rule: RandomSubstitution, n: int) -> CohomologyReport:

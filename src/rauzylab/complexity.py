@@ -6,10 +6,11 @@ factors on a binary alphabet.  Bispecial factors are classified by the
 size of their legal corner set {(x, y) : xvy legal}: strong when all
 four corners occur, weak when only two, neutral when three.
 
-The census reads the extension maps of F_n into F_{n+1} that the oracle's
-corner step builds, and looks up in F_{n+2} only the corners of bispecials:
-the corner step adds every xvy of a word with one left or one right
-extension, so a lookup there could only confirm what the step built.
+The census reads each word's extensions by membership: L(v) holds the
+letters x with xv in F_{n+1}, and R(v) those y with vy in F_{n+1}.  It looks
+up in F_{n+2} only the corners of bispecials: the oracle's corner step adds
+every xvy of a word with one left or one right extension, so a lookup there
+could only confirm what the step built.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError, InvariantViolationError
-from .oracle import _extensions, legal_subwords
+from .oracle import legal_subwords
 from .rules import RandomSubstitution
 from .words import WordSet
 
@@ -72,7 +73,7 @@ class SpecialsReport:
 
 
 def specials_report(rule: RandomSubstitution, n: int) -> SpecialsReport:
-    """Classify every legal length-n factor by its extension maps, and each bispecial by its corners.
+    """Classify every legal length-n factor by its extensions in F_{n+1}, and each bispecial by its corners.
 
     The same pass decides two identities.  ``bispecial_identity`` is
     s(n+1) - s(n) == strong(n) - weak(n).  ``no_weak_bispecials`` holds iff
@@ -91,12 +92,17 @@ def specials_report(rule: RandomSubstitution, n: int) -> SpecialsReport:
     p, s = len(words), len(longer) - len(words)
     strong = weak = neutral = 0
     no_weak = True
-    right_map, left_map = _extensions(rule, words, longer)
-    rights = [v for v, ys in right_map.items() if len(ys) >= 2]
-    lefts = [v for v, xs in left_map.items() if len(xs) >= 2]
-    bis = [v for v in rights if len(left_map[v]) >= 2]
-    for v in bis:
-        xs, ys = left_map[v], right_map[v]
+    rights, lefts, bis = [], [], []
+    for v in words:
+        xs = [x for x in rule.alphabet if x + v in longer]
+        ys = [y for y in rule.alphabet if v + y in longer]
+        if len(ys) >= 2:
+            rights.append(v)
+        if len(xs) >= 2:
+            lefts.append(v)
+        if len(xs) < 2 or len(ys) < 2:
+            continue
+        bis.append(v)
         corners = {(x, y) for x in xs for y in ys if x + v + y in corner_set}
         if not corners:
             raise InvariantViolationError(f"legal factor {v!r} has no legal corner extension")
@@ -126,13 +132,3 @@ def specials_report(rule: RandomSubstitution, n: int) -> SpecialsReport:
         bispecial_identity=len(corner_set) - len(longer) - s == strong - weak,
         no_weak_bispecials=no_weak,
     )
-
-
-def branching_excess(rule: RandomSubstitution, n: int) -> int:
-    """Sum of (right extension count - 1) over legal length-n factors.
-
-    Equals s(n) on any alphabet; reported rather than asserted for
-    alphabets larger than two.
-    """
-    rights, _ = _extensions(rule, legal_subwords(rule, n).as_set(), legal_subwords(rule, n + 1).as_set())
-    return sum(len(ys) - 1 for ys in rights.values())

@@ -114,14 +114,15 @@ def strongly_connected(g: RauzyGraph | SimpleDigraph) -> bool:
     return _sweeps_reach_all(0, n, forward.__getitem__, backward.__getitem__)
 
 
-def words_connected(rights: dict[str, list[str]], lefts: dict[str, list[str]]) -> bool:
-    """Strong connectivity of the stage-n graph by sweeps over the extension maps of F_n into F_{n+1}:
-    the successors of v are v[1:] + y for y in R(v), its predecessors x + v[:-1] for x in L(v)."""
+def words_connected(alphabet: tuple[str, ...], words: frozenset[str], longer: frozenset[str]) -> bool:
+    """Strong connectivity of the stage-m graph by sweeps over ``words`` (F_m), read by membership in
+    ``longer`` (F_{m+1}): the successors of v are v[1:] + y for each y with vy in F_{m+1}, and its
+    predecessors x + v[:-1] for each x with xv in F_{m+1}."""
     return _sweeps_reach_all(
-        next(iter(rights)),
-        len(rights),
-        lambda v: [v[1:] + y for y in rights[v]],
-        lambda v: [x + v[:-1] for x in lefts[v]],
+        next(iter(words)),
+        len(words),
+        lambda v: [v[1:] + y for y in alphabet if v + y in longer],
+        lambda v: [x + v[:-1] for x in alphabet if x + v in longer],
     )
 
 

@@ -97,7 +97,8 @@ def inflation_windows(rule, v: str, m: int) -> set[str]:
 
     Realizations shorter than m contribute themselves whole.  States are
     deduplicated by (suffix, length), which is lossless for factor
-    collection because emitted windows depend only on the suffix.
+    collection because emitted windows depend only on the suffix.  The
+    length is capped at m, since only whether it is below m is read.
     """
     collected: set[str] = set()
     keep = max(m - 1, 1)
@@ -109,7 +110,7 @@ def inflation_windows(rule, v: str, m: int) -> set[str]:
                 t = s + r
                 for i in range(max(0, len(s) - m + 1), len(t) - m + 1):
                     collected.add(t[i : i + m])
-                nxt.add((t[-keep:] if len(t) > keep else t, total + len(r)))
+                nxt.add((t[-keep:] if len(t) > keep else t, min(total + len(r), m)))
         states = nxt
     for s, total in states:
         if total < m:

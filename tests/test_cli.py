@@ -309,9 +309,10 @@ def test_cohomology_invariant_failure_exits_nonzero(capsys, monkeypatch):
 
 
 def test_verify_builds_each_stage_fact_once(capsys, monkeypatch, tmp_path):
-    sorts, graphs, sweeps, censuses = Counter(), Counter(), Counter(), Counter()
+    sorts, graphs, sweeps, censuses, maps = Counter(), Counter(), Counter(), Counter(), Counter()
     sort = WordSet.__dict__["words"].func
     build, connected, census = rauzy.build_rauzy, cohomology.words_connected, cohomology.specials_report
+    extensions = oracle._extensions
 
     def counted_sort(word_set):
         words = sort(word_set)
@@ -322,9 +323,14 @@ def test_verify_builds_each_stage_fact_once(capsys, monkeypatch, tmp_path):
         graphs[n] += 1
         return build(rule, n)
 
-    def counted_sweep(rights, lefts):
-        sweeps[len(next(iter(rights)))] += 1
-        return connected(rights, lefts)
+    def counted_sweep(alphabet, words, longer):
+        sweeps[len(next(iter(words)))] += 1
+        return connected(alphabet, words, longer)
+
+    def counted_extensions(rule, shorter, longer):
+        # keyed by the F_m being built, which reads the maps of F_{m-2} into F_{m-1}
+        maps[sys._getframe(1).f_code.co_name, len(next(iter(longer))) + 1] += 1
+        return extensions(rule, shorter, longer)
 
     def counted_census(rule, n):
         censuses[n] += 1
@@ -337,6 +343,9 @@ def test_verify_builds_each_stage_fact_once(capsys, monkeypatch, tmp_path):
         monkeypatch.setattr(module, "build_rauzy", counted_build)
     monkeypatch.setattr(cohomology, "words_connected", counted_sweep)
     monkeypatch.setattr(cohomology, "specials_report", counted_census)
+    for module in list(sys.modules.values()):
+        if getattr(module, "_extensions", None) is extensions:  # in every module that binds it
+            monkeypatch.setattr(module, "_extensions", counted_extensions)
     monkeypatch.delenv("RAUZYLAB_OUT", raising=False)
     oracle._legal_subword_set.cache_clear()  # so that every F_m is built in this run
     code, out, _ = run_cli(capsys, "verify", "--rule", "fib", "--max-n", "8")
@@ -349,6 +358,10 @@ def test_verify_builds_each_stage_fact_once(capsys, monkeypatch, tmp_path):
     assert graphs == Counter()
     assert sweeps == Counter(range(1, 10))
     assert censuses == Counter(range(1, 9))
+    # the extension maps are built only by the corner step, once for each F_m
+    # with m >= 2: F_2..F_10 for the stages, and on to F_13 = F_{f_7} for the
+    # generation-window identity at n = 7
+    assert maps == Counter(("_corner_step", m) for m in range(2, 14))
     # report's DOT files list F_1..F_4 in order: each is sorted once, from the cache
     assert run_cli(capsys, "report", "--max-n", "3", "--out", str(tmp_path))[0] == 0
     assert graphs == Counter(range(1, 4))

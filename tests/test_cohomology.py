@@ -12,12 +12,14 @@ from rauzylab import (
     RationalMatrix,
     RauzyGraph,
     SimpleDigraph,
+    WordSet,
     build_rauzy,
     coboundary_matrix,
     complexity,
     first_difference,
     h1_rank,
     induced_h1_map,
+    legal_subwords,
     noble_means_rule,
     projection,
     pullback_matrices,
@@ -300,6 +302,42 @@ def test_stage_report_rejects_non_star_fiber(fib):
         cohomology._combined_rank(edge_cells(proj))
     # over Z the fiber leaves the row 2(v1 - v0): the quotient has Z/2 torsion
     assert invariant_factors(_combined_matrix(proj)) == [1, 1, 1, 2]
+
+
+def test_stage_report_reads_the_projection_fibers(fib, monkeypatch):
+    # the two letter-drop maps are homotopic (vertex w slides along edge w,
+    # from w[:-1] to w[1:]), so no rank tells them apart; the union-find must
+    # still read the edge fibers of the dense reference's projection
+    read = []
+    combined = cohomology._combined_rank
+
+    def recorded(cells):
+        read.append(sorted(cells))
+        return combined(read[-1])
+
+    monkeypatch.setattr(cohomology, "_combined_rank", recorded)
+    for rule in (fib, THUE_MORSE):
+        for n in range(1, 7):
+            stage_report(rule, n)
+            proj = projection(rule, n)
+            source, image = proj.source.vertices, [proj.target.edges[j].word for j in proj.edge_map]
+            cells = sorted((c, source[e.tail], source[e.head]) for c, e in zip(image, proj.source.edges))
+            assert read.pop() == cells, (rule.name, n)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_stage_report_checks_that_the_source_words_extend(fib, monkeypatch, n, side):
+    # the sweep of stage n+1 is what checks that F_{n+1} extends into
+    # F_{n+2}: drop every extension of one word of F_{n+1} on one side
+    u = min(legal_subwords(fib, n + 1).as_set())
+    cut = WordSet.from_iterable(
+        w for w in legal_subwords(fib, n + 2).as_set() if (w[:-1] if side == "right" else w[1:]) != u
+    )
+    real = cohomology.legal_subwords
+    monkeypatch.setattr(cohomology, "legal_subwords", lambda rule, m: cut if m == n + 2 else real(rule, m))
+    with pytest.raises(InvariantViolationError, match=f"stage-{n + 1} graph is not strongly connected"):
+        stage_report(fib, n)
 
 
 def invariant_factors(rows) -> list[int]:

@@ -4,7 +4,6 @@ import pytest
 
 from rauzylab import (
     DomainError,
-    branching_excess,
     complexity,
     extension_table,
     first_difference,
@@ -156,11 +155,6 @@ def test_complexity_nondecreasing_and_superlinear(fib):
     assert values == sorted(values)
     for n in range(4, 13):
         assert complexity(fib, n) > 2 * n
-
-
-def test_branching_excess_equals_first_difference(fib):
-    for n in range(1, 9):
-        assert branching_excess(fib, n) == first_difference(fib, n)
 
 
 def test_thue_morse_has_weak_bispecials():

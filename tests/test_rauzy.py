@@ -96,15 +96,11 @@ word_sets = st.integers(1, 3).flatmap(
 def test_word_sweeps_match_graph_sweeps(edge_words):
     # any set of (n+1)-words in which every n-word that starts an edge also
     # ends one: the sweeps over words agree with those over the built graph
-    rights: dict[str, list[str]] = {}
-    lefts: dict[str, list[str]] = {}
-    for w in edge_words:
-        rights.setdefault(w[:-1], []).append(w[-1])
-        lefts.setdefault(w[1:], []).append(w[0])
-    assume(rights.keys() == lefts.keys())
-    index = {v: i for i, v in enumerate(sorted(rights))}
+    words = frozenset(w[:-1] for w in edge_words)
+    assume(words == {w[1:] for w in edge_words})
+    index = {v: i for i, v in enumerate(sorted(words))}
     g = SimpleDigraph(len(index), tuple(Edge(w, index[w[:-1]], index[w[1:]]) for w in edge_words))
-    assert words_connected(rights, lefts) == strongly_connected(g) == reaches_all_pairs(g)
+    assert words_connected(("a", "b"), words, frozenset(edge_words)) == strongly_connected(g) == reaches_all_pairs(g)
 
 
 def test_strong_connectivity_edge_cases():
