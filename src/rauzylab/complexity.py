@@ -6,11 +6,12 @@ factors on a binary alphabet.  Bispecial factors are classified by the
 size of their legal corner set {(x, y) : xvy legal}: strong when all
 four corners occur, weak when only two, neutral when three.
 
-The census reads each word's extensions by membership: L(v) holds the
-letters x with xv in F_{n+1}, and R(v) those y with vy in F_{n+1}.  It looks
-up in F_{n+2} only the corners of bispecials: the oracle's corner step adds
-every xvy of a word with one left or one right extension, so a lookup there
-could only confirm what the step built.
+The census of length n is tallied by the oracle's corner step, in the
+pass over F_n that builds F_{n+2}: there L(v) holds the letters x with xv
+in F_{n+1}, R(v) those y with vy in F_{n+1}, and the corners of each
+bispecial are the ones the step decided, which are exactly the words of
+F_{n+2} with middle v.  ``specials_report`` reads that census from the
+oracle cache and reads only the sizes of F_n, F_{n+1} and F_{n+2}.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError, InvariantViolationError
-from .oracle import legal_subwords
+from .oracle import _legal_subword_set, legal_subwords
 from .rules import RandomSubstitution
 from .words import WordSet
 
@@ -73,48 +74,24 @@ class SpecialsReport:
 
 
 def specials_report(rule: RandomSubstitution, n: int) -> SpecialsReport:
-    """Classify every legal length-n factor by its extensions in F_{n+1}, and each bispecial by its corners.
+    """Every legal length-n factor classified by its extensions in F_{n+1}, and each bispecial by its corners.
 
-    The same pass decides two identities.  ``bispecial_identity`` is
-    s(n+1) - s(n) == strong(n) - weak(n).  ``no_weak_bispecials`` holds iff
-    every bispecial has at least three legal corners and every right (left)
-    special admits a common left (right) extension letter.  Only bispecial
-    corners are looked up in F_{n+2}: a word with one left or one right
-    extension has every xvy legal, by the lemma of the corner step, which
-    adds them all.  Raises if a bispecial has no legal corner, or if the
-    census contradicts the binary counting identities (s(n) equals the
-    number of right specials and of left specials); such a failure would
-    signal a bug in the language oracle.
+    The census is the one the corner step tallied while it built F_{n+2},
+    cached beside it; this reads it and the sizes of F_n, F_{n+1} and
+    F_{n+2}, and walks no word set.  It decides two identities.
+    ``bispecial_identity`` is s(n+1) - s(n) == strong(n) - weak(n).
+    ``no_weak_bispecials`` holds iff every bispecial has at least three
+    legal corners and every right (left) special admits a common left
+    (right) extension letter.  The step raises if a bispecial has no legal
+    corner; this raises if the census contradicts the binary counting
+    identities (s(n) equals the number of right specials and of left
+    specials).  Either failure would signal a bug in the language oracle.
     """
     if n < 1:
         raise ValueError("length must be >= 1")
-    words, longer, corner_set = (legal_subwords(rule, m).as_set() for m in (n, n + 1, n + 2))
-    p, s = len(words), len(longer) - len(words)
-    strong = weak = neutral = 0
-    no_weak = True
-    rights, lefts, bis = [], [], []
-    for v in words:
-        xs = [x for x in rule.alphabet if x + v in longer]
-        ys = [y for y in rule.alphabet if v + y in longer]
-        if len(ys) >= 2:
-            rights.append(v)
-        if len(xs) >= 2:
-            lefts.append(v)
-        if len(xs) < 2 or len(ys) < 2:
-            continue
-        bis.append(v)
-        corners = {(x, y) for x in xs for y in ys if x + v + y in corner_set}
-        if not corners:
-            raise InvariantViolationError(f"legal factor {v!r} has no legal corner extension")
-        no_weak &= any(all((x, y) in corners for y in ys) for x in xs)
-        no_weak &= any(all((x, y) in corners for x in xs) for y in ys)
-        no_weak &= len(corners) >= 3
-        if len(corners) == 4:
-            strong += 1
-        elif len(corners) == 2:
-            weak += 1
-        else:
-            neutral += 1
+    p, longer, deeper = (len(legal_subwords(rule, m)) for m in (n, n + 1, n + 2))
+    s = longer - p
+    rights, lefts, bis, strong, weak, neutral, no_weak = _legal_subword_set(rule, n + 2)[1]
     if len(rule.alphabet) == 2 and not len(rights) == len(lefts) == s:
         raise InvariantViolationError(
             f"specials count mismatch at n={n}: rs={len(rights)} ls={len(lefts)} s={s}"
@@ -129,6 +106,6 @@ def specials_report(rule: RandomSubstitution, n: int) -> SpecialsReport:
         strong_count=strong,
         weak_count=weak,
         neutral_count=neutral,
-        bispecial_identity=len(corner_set) - len(longer) - s == strong - weak,
+        bispecial_identity=deeper - longer - s == strong - weak,
         no_weak_bispecials=no_weak,
     )

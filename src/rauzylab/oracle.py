@@ -13,7 +13,8 @@ per bispecial for all its corners; its docstring proves that this search
 accepts only legal corners, finds every one, and ends.  When every
 letter's realizations are closed under string reversal, as for random
 Fibonacci and every noble:m, so is the language, and the step searches
-only one bispecial of each pair {v, rev(v)}.
+only one bispecial of each pair {v, rev(v)}.  The step also tallies the
+specials census of F_{m-2}, which the cache keeps beside F_m.
 
 Both preconditions are checked, never assumed: the rule must be primitive
 (some power of its letter-incidence matrix is positive) and expanding
@@ -135,7 +136,12 @@ def _reversal_closed(rule: RandomSubstitution) -> bool:
     return all({r[::-1] for r in rule.realizations(a)} == set(rule.realizations(a)) for a in rule.alphabet)
 
 
-def _corner_step(rule: RandomSubstitution, built: list[frozenset[str]]) -> frozenset[str]:
+#: the specials census of one length: right specials, left specials and bispecials, the strong, weak and
+#: neutral counts, and whether no bispecial is weak
+Census = tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...], int, int, int, bool]
+
+
+def _corner_step(rule: RandomSubstitution, built: list[frozenset[str]]) -> tuple[frozenset[str], Census]:
     """F_m from built[j] = F_j for j < m (F_0 = {""}), deciding only the corners of bispecials.
 
     Every legal m-word is xvy with xv and vy in F_{m-1}.  If v has one
@@ -188,17 +194,27 @@ def _corner_step(rule: RandomSubstitution, built: list[frozenset[str]]) -> froze
     exactly when y rev(v) x is.  Of a bispecial pair v != rev(v), checked
     to have L(rev v) = R(v) and R(rev v) = L(v), the one that sorts first
     is searched, and its corners, reversed, are those of the other.
+
+    The same loop over F_{m-2} tallies its specials census.  Every word the
+    step adds with middle v is xvy for that same v, so the words of F_m
+    with middle v are exactly the corners it decided for v: ``found``, or
+    its reversal for a mirror twin.  So each bispecial is strong at 4
+    corners, weak at 2 and neutral otherwise, and is no weak one when it
+    has 3 or more corners, some x with every xvy legal and some y with
+    every xvy legal.  A twin takes the class and the verdict of the one
+    searched: reversal swaps the two conditions, so their AND is kept.  A
+    bispecial with no legal corner raises.
     """
     m = len(built)
     rights, lefts = _extensions(rule, built[m - 2], built[m - 1])
     realizations = [(a, r) for a in rule.alphabet for r in rule.realizations(a)]
     covering = [r for _, r in realizations if len(r) >= m]  # those an m-word can lie in
     blocks: dict[str, list[tuple[str, str, int]]] = {}
-    heads: dict[str, dict[tuple[str, str], None]] = {}
+    firsts: dict[str, dict[tuple[str, str], None]] = {}  # x -> (a, rest) for each suffix x + rest of a's
     for a, r in realizations:
         blocks.setdefault(r[0], []).append((a, r, len(r)))
         for i in range(len(r)):
-            heads.setdefault(r[i], {})[a, r[i:]] = None
+            firsts.setdefault(r[i], {})[a, r[i + 1 :]] = None
     every = [block for bs in blocks.values() for block in bs]
 
     def corners(v: str, xs: list[str], ys: list[str], path: tuple[str, ...] = ()) -> list[str]:
@@ -206,24 +222,15 @@ def _corner_step(rule: RandomSubstitution, built: list[frozenset[str]]) -> froze
 
         ``path`` holds the corners whose searches led to this one.
         """
-        todo = {x: {y for y in ys if not any(x + v + y in r for r in covering)} for x in xs}
-
-        def accept(w: str, served: tuple[str, ...], y: str) -> None:
-            for x in served:
-                if y in todo[x] and (
-                    w in built[len(w)]
-                    if len(w) < m
-                    else w not in (on := path + (x + v + y,)) and corners(w[1:-1], [w[0]], [w[-1]], on)
-                ):
-                    todo[x].discard(y)
-
+        todo = {x: {y for y in ys if not any(x + v + y in r for r in covering)} if covering else set(ys) for x in xs}
         seeds: dict[tuple[int, str], list[str]] = {}
         for x in xs:
-            for a, t in heads.get(x, ()):
-                if (x + v).startswith(t):
-                    seeds.setdefault((len(t) - 1, a), []).append(x)
-        # seeds shared by more x's are walked first, for all of them at once
-        stack = sorted(((i, a, tuple(xx)) for (i, a), xx in seeds.items()), key=lambda st: len(st[2]))
+            for a, rest in firsts.get(x, ()):
+                if v.startswith(rest):
+                    seeds.setdefault((len(rest), a), []).append(x)
+        stack = [(i, a, tuple(xx)) for (i, a), xx in seeds.items()]
+        if len(stack) > 1:  # seeds shared by more x's are walked first, for all of them at once
+            stack.sort(key=lambda st: len(st[2]))
         while stack:
             i, pre, served = stack.pop()
             if not any(map(todo.get, served)):
@@ -235,31 +242,60 @@ def _corner_step(rule: RandomSubstitution, built: list[frozenset[str]]) -> froze
                     if v.startswith(r, i) and (w := pre + a) in built[len(w)]:
                         stack.append((i + n, w, served))
                 elif r.startswith(v[i:]):
-                    accept(pre + a, served, r[left - 1])
+                    w, y = pre + a, r[left - 1]
+                    for x in served:
+                        if y in todo[x] and (
+                            w in built[len(w)]
+                            if len(w) < m
+                            else w not in (on := path + (x + v + y,)) and corners(w[1:-1], [w[0]], [w[-1]], on)
+                        ):
+                            todo[x].discard(y)
         return [x + v + y for x in xs for y in ys if y not in todo[x]]
 
     mirror = _reversal_closed(rule)
     out: set[str] = set()
-    for v, ys in rights.items():
-        xs = lefts[v]
+    rs, ls, bis = [], [], []
+    strong = weak = neutral = 0
+    no_weak = True
+    for v in built[m - 2]:
+        xs, ys = lefts[v], rights[v]
+        if len(ys) > 1:
+            rs.append(v)
+        if len(xs) > 1:
+            ls.append(v)
         if len(xs) == 1 or len(ys) == 1:
             out.update(x + v + y for x in xs for y in ys)
             continue
+        bis.append(v)
+        twins = 1
         if mirror and (rv := v[::-1]) != v:
             if rv not in rights or set(lefts[rv]) != set(ys) or set(rights[rv]) != set(xs):
                 raise InvariantViolationError(f"rule {rule.name!r}: the extensions of {v!r} and {rv!r} do not mirror")
             if rv < v:
-                continue  # its corners come from the search over rv
+                continue  # its corners, class and verdict come from the search over rv
+            twins = 2
         found = corners(v, xs, ys)
+        if not found:
+            raise InvariantViolationError(f"legal factor {v!r} has no legal corner extension")
         out.update(found)
         if mirror:
             out.update(u[::-1] for u in found)
-    return frozenset(out)
+        pairs = {(u[0], u[-1]) for u in found}
+        no_weak &= len(pairs) >= 3
+        no_weak &= any(all((x, y) in pairs for y in ys) for x in xs)
+        no_weak &= any(all((x, y) in pairs for x in xs) for y in ys)
+        if len(pairs) == 4:
+            strong += twins
+        elif len(pairs) == 2:
+            weak += twins
+        else:
+            neutral += twins
+    return frozenset(out), (tuple(rs), tuple(ls), tuple(bis), strong, weak, neutral, no_weak)
 
 
 @lru_cache(maxsize=None)
-def _legal_subword_set(rule: RandomSubstitution, m: int) -> WordSet:
-    """F_m: the alphabet at m = 1, the corner step from F_0 = {""} on.
+def _legal_subword_set(rule: RandomSubstitution, m: int) -> tuple[WordSet, Census | None]:
+    """F_m and the census of F_{m-2}: the alphabet at m = 1, the corner step from F_0 = {""} on.
 
     The rule is checked primitive and expanding before any F_m.  Each
     step reads F_0..F_{m-1} as locals and checks that F_{m-2} and F_{m-1}
@@ -269,23 +305,24 @@ def _legal_subword_set(rule: RandomSubstitution, m: int) -> WordSet:
     """
     _check_primitive(rule)
     if m == 1:
-        return WordSet.from_iterable(rule.alphabet)
-    built = [frozenset([""])] + [_legal_subword_set(rule, j).as_set() for j in range(1, m)]
-    return WordSet.from_iterable(_corner_step(rule, built))
+        return WordSet.from_iterable(rule.alphabet), None
+    built = [frozenset([""])] + [_legal_subword_set(rule, j)[0].as_set() for j in range(1, m)]
+    words, census = _corner_step(rule, built)
+    return WordSet.from_iterable(words), census
 
 
 def legal_subwords(rule: RandomSubstitution, m: int) -> WordSet:
     """F_m: the set of legal length-m factors of the rule's language."""
     if m < 1:
         raise ValueError("factor length must be >= 1")
-    return _legal_subword_set(rule, m)
+    return _legal_subword_set(rule, m)[0]
 
 
 def is_legal(rule: RandomSubstitution, w: str) -> bool:
     """Whether ``w`` occurs as a factor of the language."""
     if not w:
         raise InvalidWordError("word must be nonempty")
-    return w in _legal_subword_set(rule, len(w))
+    return w in _legal_subword_set(rule, len(w))[0]
 
 
 @dataclass(frozen=True)

@@ -52,6 +52,30 @@ NO_DEPTH = RandomSubstitution(
 )
 
 
+#: (n, p, s, sb, wb, rs, ls) of ``complexity --rule fib --max-n 18``, recorded
+#: before the corner step tallied the census, when it came from its own pass
+FIB_ROWS_18 = [
+    (1, 2, 2, 1, 0, 2, 2),
+    (2, 4, 3, 3, 0, 3, 3),
+    (3, 7, 6, 3, 0, 6, 6),
+    (4, 13, 9, 8, 0, 9, 9),
+    (5, 22, 17, 11, 0, 17, 17),
+    (6, 39, 28, 13, 0, 28, 28),
+    (7, 67, 41, 34, 0, 41, 41),
+    (8, 108, 75, 47, 0, 75, 75),
+    (9, 183, 122, 83, 0, 122, 122),
+    (10, 305, 205, 136, 0, 205, 205),
+    (11, 510, 341, 164, 0, 341, 341),
+    (12, 851, 505, 377, 0, 505, 505),
+    (13, 1356, 882, 532, 0, 882, 882),
+    (14, 2238, 1414, 922, 0, 1414, 1414),
+    (15, 3652, 2336, 1472, 0, 2336, 2336),
+    (16, 5988, 3808, 2170, 0, 3808, 3808),
+    (17, 9796, 5978, 3964, 0, 5978, 5978),
+    (18, 15774, 9942, 6224, 0, 9942, 9942),
+]
+
+
 @lru_cache(maxsize=None)
 def brute_generation(n: int) -> frozenset[str]:
     if n == 0:

@@ -17,6 +17,8 @@ from rauzylab import cli, cohomology, fibonacci_rule, legal_subwords, oracle, ra
 from rauzylab.cli import main
 from rauzylab.words import WordSet
 
+from conftest import FIB_ROWS_18
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 #: sha256 of the stdout of ``verify --rule fib --max-n 8``, pinned from the
@@ -367,6 +369,29 @@ def test_verify_builds_each_stage_fact_once(capsys, monkeypatch, tmp_path):
     assert graphs == Counter(range(1, 4))
     sorted_by_report = Counter(sorts)  # reading the cached orders below sorts nothing more
     assert sorted_by_report == Counter(legal_subwords(fibonacci_rule(), m).words for m in range(1, 5))
+    # complexity builds each F_m once, F_2..F_10 for the censuses of F_1..F_8,
+    # and reads each census from the corner step that built F_{n+2}: the
+    # complexity module sees only the sizes of the word sets, so a census that
+    # walked F_n, or looked a word up in F_{n+1} or F_{n+2}, would fail
+    maps.clear()
+    censuses.clear()
+    oracle._legal_subword_set.cache_clear()
+    monkeypatch.setattr(sys.modules["rauzylab.complexity"], "legal_subwords", SizeOnly)
+    code, out, _ = run_cli(capsys, "complexity", "--max-n", "8")
+    assert code == 0
+    assert out.splitlines()[1:] == [",".join(map(str, row)) for row in FIB_ROWS_18[:8]]
+    assert censuses == Counter(range(1, 9))
+    assert maps == Counter(("_corner_step", m) for m in range(2, 11))
+
+
+class SizeOnly:
+    """Stands in for ``legal_subwords(rule, m)``: the size of F_m, and nothing else of it."""
+
+    def __init__(self, rule, m):
+        self.size = len(legal_subwords(rule, m))
+
+    def __len__(self):
+        return self.size
 
 
 def test_outputs_do_not_depend_on_hash_seed(tmp_path):

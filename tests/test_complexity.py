@@ -4,6 +4,7 @@ import pytest
 
 from rauzylab import (
     DomainError,
+    RandomSubstitution,
     complexity,
     extension_table,
     first_difference,
@@ -14,6 +15,7 @@ from rauzylab import (
 from conftest import (
     DEPTH_THREE,
     DET_FIB,
+    FIB_ROWS_18,
     MIRROR_THREE,
     NO_DEPTH,
     PERIOD_DOUBLING,
@@ -143,6 +145,30 @@ def test_no_weak_bispecials_up_to_twelve(fib):
     for n in range(1, 13):
         assert specials_report(fib, n).no_weak_bispecials, n
         assert specials_report(fib, n).weak_count == 0
+
+
+def test_fib_census_rows_to_eighteen(fib):
+    # past the n <= 12 of the table reference: most bispecials here are one
+    # of a mirror pair, counted from the search over its twin
+    for n, *row in FIB_ROWS_18:
+        rep = specials_report(fib, n)
+        counts = [rep.p, rep.s, rep.strong_count, rep.weak_count, len(rep.right_specials), len(rep.left_specials)]
+        assert counts == row, n
+        assert rep.bispecial_identity and rep.no_weak_bispecials, n
+
+
+def test_no_weak_verdict_needs_both_conditions():
+    # on three letters a bispecial can have four corners and still fail one
+    # no-weak condition: no x has every xby legal for the first rule at
+    # n = 1, and no y has every xbcy legal for the second at n = 2
+    cases = (("no-full-row", ("cca", "abb", "cab"), 1, "b"), ("no-full-column", ("bca", "cba", "bcb"), 2, "bc"))
+    for name, images, n, v in cases:
+        rule = RandomSubstitution(name=name, alphabet=("a", "b", "c"), rules=tuple(zip("abc", zip(images))))
+        rep = specials_report(rule, n)
+        table = extension_table(rule, v)
+        assert len(table.corners) == 4 and len(table.left) + len(table.right) == 5, rule.name
+        assert (rep.weak_count, rep.no_weak_bispecials) == (0, False), rule.name
+        assert census_fields(rep) == table_census(rule, n), rule.name
 
 
 def test_first_difference_nondecreasing(fib):

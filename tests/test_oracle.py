@@ -182,6 +182,19 @@ def test_corner_step_checks_that_mirror_pairs_mirror(fib):
         _corner_step(fib, built)
 
 
+def test_corner_step_raises_on_a_bispecial_with_no_corner(fib):
+    # drop from F_4 every word one of whose images holds a corner of babab:
+    # F_5 and F_6 still extend into each other, but no corner of babab parses
+    built = [frozenset([""])] + [legal_subwords(fib, j).as_set() for j in range(1, 7)]
+    corners = {x + "babab" + y for x in "ab" for y in "ab"} & legal_subwords(fib, 7).as_set()
+    rules = dict(fib.rules)
+    images = {w: {"".join(p) for p in product(*(rules[c] for c in w))} for w in built[4]}
+    built[4] = frozenset(w for w in built[4] if not any(u in image for image in images[w] for u in corners))
+    assert len(built[4]) == len(legal_subwords(fib, 4)) - 5
+    with pytest.raises(InvariantViolationError, match="'babab' has no legal corner extension"):
+        _corner_step(fib, built)
+
+
 def _count_steps(monkeypatch) -> list[int]:
     """Clear the oracle cache and record the length m of every corner step from now on."""
     calls: list[int] = []
