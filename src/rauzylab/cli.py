@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
@@ -36,36 +35,12 @@ from .rules import (
 IDENTITY_CHECK_MAX = 7
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated knobs shared by the subcommands."""
-
-    rule: RandomSubstitution
-    max_n: int
-    fmt: str
-    seed: int | None
-    output_dir: Path | None
-
-
-def _load_rule(args: argparse.Namespace) -> RandomSubstitution:
-    if getattr(args, "rule_file", None):
-        return rule_from_file(args.rule_file)
-    return resolve_rule(args.rule)
-
-
-def _config(args: argparse.Namespace, max_n: int, flag: str = "--max-n") -> RunConfig:
-    """The shared knobs; ``max_n`` is the value of ``flag``, which must be >= 1."""
-    rule = _load_rule(args)
-    if max_n < 1:
+def _load_rule(args: argparse.Namespace, bound: int = 1, flag: str = "--max-n") -> RandomSubstitution:
+    """The rule of ``--rule-file`` or ``--rule``; then ``bound``, the value of ``flag``, must be >= 1."""
+    rule = rule_from_file(args.rule_file) if args.rule_file else resolve_rule(args.rule)
+    if bound < 1:
         raise ValueError(f"{flag} must be >= 1")
-    out = os.environ.get("RAUZYLAB_OUT") or getattr(args, "out", None)
-    return RunConfig(
-        rule=rule,
-        max_n=max_n,
-        fmt=getattr(args, "format", "csv"),
-        seed=getattr(args, "seed", None),
-        output_dir=Path(out) if out else None,
-    )
+    return rule
 
 
 def _csv(lines: list[list[object]]) -> str:
@@ -99,16 +74,16 @@ def _cohomology_csv(rows: list[dict]) -> str:
 
 
 def cmd_language(args: argparse.Namespace) -> int:
-    cfg = _config(args, args.max_len, "--max-len")
+    rule = _load_rule(args, args.max_len, "--max-len")
     rows = []
     for m in range(1, args.max_len + 1):
-        words = legal_subwords(cfg.rule, m)
+        words = legal_subwords(rule, m)
         row: dict = {"m": m, "p": len(words)}
         if args.words:
             row["words"] = list(words)
         rows.append(row)
-    if cfg.fmt == "json":
-        print(_json({"rule": cfg.rule.name, "max_len": args.max_len, "rows": rows}), end="")
+    if args.format == "json":
+        print(_json({"rule": rule.name, "max_len": args.max_len, "rows": rows}), end="")
     else:
         table = [["m", "p", "words"]] if args.words else [["m", "p"]]
         for row in rows:
@@ -121,19 +96,18 @@ def cmd_language(args: argparse.Namespace) -> int:
 
 
 def cmd_complexity(args: argparse.Namespace) -> int:
-    cfg = _config(args, args.max_n)
-    rows = [_complexity_row(stage.census()) for stage in stage_tower(cfg.rule, cfg.max_n)]
-    if cfg.fmt == "json":
-        print(_json({"rule": cfg.rule.name, "rows": rows}), end="")
+    rule = _load_rule(args, args.max_n)
+    rows = [_complexity_row(stage.census()) for stage in stage_tower(rule, args.max_n)]
+    if args.format == "json":
+        print(_json({"rule": rule.name, "rows": rows}), end="")
     else:
         print(_complexity_csv(rows), end="")
     return 0
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
-    cfg = _config(args, args.n, "--n")
-    g = build_rauzy(cfg.rule, args.n)
-    if cfg.fmt == "json":
+    g = build_rauzy(_load_rule(args, args.n, "--n"), args.n)
+    if args.format == "json":
         payload = {
             "n": g.n,
             "vertices": list(g.vertices),
@@ -150,24 +124,23 @@ def cmd_graph(args: argparse.Namespace) -> int:
 
 
 def cmd_cohomology(args: argparse.Namespace) -> int:
-    cfg = _config(args, args.max_n)
+    rule = _load_rule(args, args.max_n)
     try:
-        rows = [_cohomology_row(stage.report()) for stage in stage_tower(cfg.rule, cfg.max_n)]
+        rows = [_cohomology_row(stage.report()) for stage in stage_tower(rule, args.max_n)]
     except InvariantViolationError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 1
-    if cfg.fmt == "json":
-        print(_json({"rule": cfg.rule.name, "rows": rows}), end="")
+    if args.format == "json":
+        print(_json({"rule": rule.name, "rows": rows}), end="")
     else:
         print(_cohomology_csv(rows), end="")
     return 0
 
 
-def _verify_checks(cfg: RunConfig):
+def _verify_checks(rule: RandomSubstitution, max_n: int):
     """Yield (stage, check name, outcome) rows; outcome in pass/fail/skip."""
-    rule = cfg.rule
     fib_like = has_fibonacci_support(rule)
-    for stage in stage_tower(rule, cfg.max_n):
+    for stage in stage_tower(rule, max_n):
         n = stage.n
         if fib_like and 4 <= n <= IDENTITY_CHECK_MAX:
             yield n, "fibonacci_identity", "pass" if verify_fibonacci_identity(rule, n).equal else "fail"
@@ -198,12 +171,12 @@ def _verify_checks(cfg: RunConfig):
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    cfg = _config(args, args.max_n)
-    rows = list(_verify_checks(cfg))
+    rule = _load_rule(args, args.max_n)
+    rows = list(_verify_checks(rule, args.max_n))
     width = max(len(name) for _, name, _ in rows) + 2
-    print(f"rule: {cfg.rule.name}")
-    p_values = [complexity(cfg.rule, n) for n in range(1, min(cfg.max_n, 3) + 1)]
-    s_values = [first_difference(cfg.rule, n) for n in range(1, min(cfg.max_n, 3) + 1)]
+    print(f"rule: {rule.name}")
+    p_values = [complexity(rule, n) for n in range(1, min(args.max_n, 3) + 1)]
+    s_values = [first_difference(rule, n) for n in range(1, min(args.max_n, 3) + 1)]
     print(f"p(1..{len(p_values)}) = {tuple(p_values)}   s(1..{len(s_values)}) = {tuple(s_values)}")
     failures = 0
     for stage, name, outcome in rows:
@@ -214,36 +187,36 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
-    cfg = _config(args, 1)
+    rule = _load_rule(args)
     if args.check_len < 0:
         raise ValueError("--check-len must be >= 0")
-    word = sample_inflation(cfg.rule, "b", args.k, cfg.seed)
+    word = sample_inflation(rule, "b", args.k, args.seed)
     limit = min(args.check_len, len(word))
     for m in range(1, limit + 1):
-        legal = legal_subwords(cfg.rule, m)
+        legal = legal_subwords(rule, m)
         for i in range(len(word) - m + 1):
             if word[i : i + m] not in legal:
                 raise InvariantViolationError(
                     f"sampled word has an illegal factor {word[i:i + m]!r}"
                 )
     print(word)
-    print(f"length={len(word)} factors-checked-to={limit} seed={cfg.seed}", file=sys.stderr)
+    print(f"length={len(word)} factors-checked-to={limit} seed={args.seed}", file=sys.stderr)
     return 0
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    cfg = _config(args, args.max_n)
-    out = cfg.output_dir or Path(".")
+    rule = _load_rule(args, args.max_n)
+    out = Path(os.environ.get("RAUZYLAB_OUT") or args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     complexity_rows, cohomology_rows, dots = [], [], {}
-    for stage in stage_tower(cfg.rule, cfg.max_n):
+    for stage in stage_tower(rule, args.max_n):
         complexity_rows.append(_complexity_row(stage.census()))
         cohomology_rows.append(_cohomology_row(stage.report()))
-        dots[stage.n] = export_dot(build_rauzy(cfg.rule, stage.n), highlight_specials=True)
-    if cfg.fmt == "json":
+        dots[stage.n] = export_dot(build_rauzy(rule, stage.n), highlight_specials=True)
+    if args.format == "json":
         payload = {
-            "rule": cfg.rule.name,
-            "max_n": cfg.max_n,
+            "rule": rule.name,
+            "max_n": args.max_n,
             "complexity": complexity_rows,
             "cohomology": cohomology_rows,
             "graphs": {str(n): dots[n] for n in dots},
@@ -255,7 +228,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     (out / "cohomology.csv").write_text(_cohomology_csv(cohomology_rows), encoding="utf-8", newline="\n")
     for n, dot in dots.items():
         (out / f"rauzy_{n}.dot").write_text(dot, encoding="utf-8", newline="\n")
-    print(f"wrote complexity.csv, cohomology.csv and {cfg.max_n} DOT file(s) to {out}")
+    print(f"wrote complexity.csv, cohomology.csv and {args.max_n} DOT file(s) to {out}")
     return 0
 
 

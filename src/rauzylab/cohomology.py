@@ -4,32 +4,32 @@ The dense functions build the stage graphs, the coboundaries D and the 0/1
 fiber-indicator pullbacks M0, M1, and take every rank by exact elimination;
 they are the reference.  ``Stage.report`` builds no graph and runs no
 elimination: it reads the word sets F_n, F_{n+1} and F_{n+2} by membership.
-Four ranks come from structure, each checked where it arises: rank D =
-V - 1 on both stage graphs, which sweeps over words check strongly
-connected; rank M0 = V_t and rank M1 = E_t, because both letter-drop maps
-cover their targets; and D_s M0 = M1 D_t, since dropping a letter commutes
-with taking the tail and the head of a word.  The maps cover their targets
-because the report raises unless both stage graphs are strongly connected,
-and each has at least two vertices: the corner step checks that F_j
-extends into F_{j+1} for j <= n, so each letter begins a word of F_n and
-of F_{n+1}.  So every vertex starts an edge and ends one: each word of F_n
-is the prefix and the suffix of a word of F_{n+1}, and each word of
-F_{n+1} of one of F_{n+2}.
+The bonding map drops the last letter of every vertex and edge word.
+Dropping the first letter instead gives a homotopic map: with H phi(w) =
+phi(edge w), M1_first - M1_last = D_s H and M0_first - M0_last = H D_t, so
+no rank depends on the choice.  Four ranks come from structure, each
+checked where it arises: rank D = V - 1 on both stage graphs, which sweeps
+over words check strongly connected; rank M0 = V_t and rank M1 = E_t,
+because the letter-drop map covers its targets; and D_s M0 = M1 D_t, since
+dropping a letter commutes with taking the tail and the head of a word.
+The map covers its targets because every vertex of both stage graphs starts
+an edge: each word of F_n is the prefix of a word of F_{n+1}, and each word
+of F_{n+1} of one of F_{n+2}.  It does because the report raises unless
+both stage graphs are strongly connected, and each has at least two
+vertices: the corner step checks that F_j extends into F_{j+1} for j <= n,
+so each letter begins a word of F_n and of F_{n+1}.
 
 The fifth, C = rank [M1 | D_s], is a graph-component count.  Row e of
 [M1 | D_s] is a unit at the image edge beside the coboundary row
 head(e) - tail(e).  Group the source edges by image; the first edge e0 of
 each group is its pivot, and pivoting on its M1 unit is unimodular, so the
 pivots give rank E_t and clear the M1 block from the rest of the group.
-There the row left is (head(e) - tail(e)) - (head(e0) - tail(e0)).  Every
-edge fiber of the letter-drop map is a star.  Dropping the last letter
-(n even), the fiber over c is {cy : y in R(c)}, and its edges share their
-tail word c; dropping the first letter (n odd), it is {xc : x in L(c)},
-and its edges share their head word c.  So that row is the difference of
-two source vertices; the union-find checks the shared end all the same,
-and a fiber that is not a star raises.  The rows left thus form the
-incidence matrix R of a graph on the V_s source vertices, of rank
-V_s - components, and C = E_t + V_s - components.
+There the row left is (head(e) - tail(e)) - (head(e0) - tail(e0)).  The
+fiber over c is {cy : y in R(c)}: each source edge maps onto its own tail
+word, so the edges of a fiber share their tail c, and the row left is
+head(e) - head(e0), the difference of two source vertices.  The rows left
+thus form the incidence matrix R of a graph on the V_s source vertices, of
+rank V_s - components, and C = E_t + V_s - components.
 
 So h1 = E_t - V_t + 1, the induced rank is C - (V_s - 1), h0_quotient =
 V_s - V_t + E_t - C = components - V_t, which is 0 exactly when each vertex
@@ -41,16 +41,17 @@ nonzero invariant factor of [M1 | D_s] is 1.  Its cokernel, the quotient
 H^1(stage n+1; Z) / M1 H^1(stage n; Z), is free of rank E_s - C.  Where the
 induced maps are also injective, each H^1(stage n; Z) is a direct summand
 of the next, so the direct limit Ȟ^1 is free abelian of countable rank,
-infinite since h1 = s(n)+1 grows without bound.  This rests on the star
-check: a fiber that is not a star can leave torsion.  References: Sadun,
-*Topology of Tiling Spaces* (AMS 2008), ch. 2-3; Anderson & Putnam,
-ETDS 18 (1998).
+infinite since h1 = s(n)+1 grows without bound.  This rests on the fibers
+being stars, which they are by construction, as each edge maps onto its
+tail word; a map with a fiber that is not a star can leave torsion.
+References: Sadun, *Topology of Tiling Spaces* (AMS 2008), ch. 2-3;
+Anderson & Putnam, ETDS 18 (1998).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .complexity import SpecialsReport, first_difference, specials_report
 from .errors import InvariantViolationError
@@ -190,34 +191,25 @@ class CohomologyReport:
             raise InvariantViolationError(f"stage {self.n}: inconsistent injectivity flag")
 
 
-def _combined_rank(cells: Iterable[tuple[Hashable, Hashable, Hashable]]) -> int:
-    """C = rank [M1 | D_s] by union-find over the edge fibers, from (image, tail, head) per source edge.
+def _combined_rank(cells: Iterable[tuple[str, str]]) -> int:
+    """C = rank [M1 | D_s] by union-find over the edge fibers, from (tail, head) per source edge.
 
-    Each fiber's first edge is its pivot; every other edge joins its tail to
-    the pivot's tail when the two share their head, or else its head to the
-    pivot's head, and must then share their tail.  C = pivots + joins.
+    Each edge maps onto its tail word, so the fibers are keyed by tail; each
+    fiber's first edge is its pivot, and every other edge joins its head to
+    the pivot's head.  C = pivots + joins.
     """
-    parent: dict[Hashable, Hashable] = {}  # a vertex not in it is a root
+    parent: dict[str, str] = {}  # a vertex not in it is a root
 
-    def find(u: Hashable) -> Hashable:
+    def find(u: str) -> str:
         while u in parent:
             parent[u] = parent.get(parent[u], parent[u])
             u = parent[u]
         return u
 
-    pivots: dict[Hashable, tuple[Hashable, Hashable]] = {}
+    pivots: dict[str, str] = {}  # tail -> the pivot's head
     joins = 0
-    for image, tail, head in cells:
-        if image not in pivots:
-            pivots[image] = tail, head  # the pivot itself joins nothing
-            continue
-        tail0, head0 = pivots[image]
-        if head == head0:
-            u, w = find(tail), find(tail0)
-        elif tail == tail0:
-            u, w = find(head), find(head0)
-        else:
-            raise InvariantViolationError(f"edge fiber over {image!r} is not a star")
+    for tail, head in cells:
+        u, w = find(head), find(pivots.setdefault(tail, head))
         if u != w:
             parent[u] = w
             joins += 1
@@ -274,10 +266,9 @@ class Stage:
 
     def report(self) -> CohomologyReport:
         """The cochain report of stage n; the source edges are the words w of F_{n+2}, from w[:-1] to w[1:],
-        and the letter-drop map sends w to w[:-1] (n even) or to w[1:] (n odd)."""
+        and the letter-drop map sends each onto its tail word w[:-1]."""
         rule, n = self.rule, self.n
-        drop = slice(None, -1) if n % 2 == 0 else slice(1, None)
-        cells = ((w[drop], w[:-1], w[1:]) for w in legal_subwords(rule, n + 2).as_set())
+        cells = ((w[:-1], w[1:]) for w in legal_subwords(rule, n + 2).as_set())
         sizes = tuple(len(legal_subwords(rule, m)) for m in (n, n + 1, n + 1, n + 2))
         return _report(rule, n, (self._connected(n + 1), self.connected), sizes, _combined_rank(cells))
 

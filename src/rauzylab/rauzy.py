@@ -3,8 +3,10 @@
 The stage-n graph has the legal length-n factors as vertices and the
 legal length-(n+1) factors as edges; the edge for w runs from the vertex
 for w[:-1] to the vertex for w[1:].  The projection from stage n+1 to
-stage n drops the last letter when n is even and the first letter when
-n is odd, on vertex words and edge words alike.
+stage n drops the last letter, on vertex words and edge words alike, so
+each edge maps onto the edge of its tail word.  Dropping the first letter
+instead gives a homotopic map (vertex w slides along edge w), so no rank
+depends on the choice.
 """
 
 from __future__ import annotations
@@ -131,7 +133,6 @@ class ProjectionMap:
     """Cellular map from the stage-(n+1) graph onto the stage-n graph."""
 
     n: int
-    parity: str
     source: RauzyGraph
     target: RauzyGraph
     vertex_map: tuple[int, ...]
@@ -139,7 +140,7 @@ class ProjectionMap:
 
 
 def projection(rule: RandomSubstitution, n: int) -> ProjectionMap:
-    """Build the parity-determined letter-drop map between stages n+1 and n.
+    """Build the letter-drop map between stages n+1 and n, which drops the last letter of every word.
 
     The image of an edge word must itself be an edge word whose endpoints
     are the images of the original endpoints; violations abort, since for
@@ -147,13 +148,12 @@ def projection(rule: RandomSubstitution, n: int) -> ProjectionMap:
     map; the stage tower works on the words themselves.
     """
     source, target = build_rauzy(rule, n + 1), build_rauzy(rule, n)
-    drop = slice(None, -1) if n % 2 == 0 else slice(1, None)
     v_index = {w: i for i, w in enumerate(target.vertices)}
     e_index = {e.word: i for i, e in enumerate(target.edges)}
-    vertex_map = tuple(v_index[w[drop]] for w in source.vertices)
+    vertex_map = tuple(v_index[w[:-1]] for w in source.vertices)
     edge_map = []
     for e in source.edges:
-        image_word = e.word[drop]
+        image_word = e.word[:-1]
         j = e_index.get(image_word)
         if j is None:
             raise InvariantViolationError(f"projected edge word {image_word!r} is not an edge")
@@ -165,7 +165,6 @@ def projection(rule: RandomSubstitution, n: int) -> ProjectionMap:
         edge_map.append(j)
     pmap = ProjectionMap(
         n=n,
-        parity="even" if n % 2 == 0 else "odd",
         source=source,
         target=target,
         vertex_map=vertex_map,

@@ -162,7 +162,7 @@ def collapse_pair():
     x = SimpleDigraph(vertex_count=2, edges=(Edge(None, 0, 1),))
     y = SimpleDigraph(vertex_count=1, edges=(Edge(None, 0, 0),))
     return ProjectionMap(
-        n=0, parity="even", source=x, target=y, vertex_map=(0, 0), edge_map=(0,)
+        n=0, source=x, target=y, vertex_map=(0, 0), edge_map=(0,)
     )
 
 
@@ -190,7 +190,7 @@ def test_parallel_edge_collapse_stays_injective():
     )
     y = SimpleDigraph(vertex_count=2, edges=(Edge(None, 0, 1), Edge(None, 1, 0)))
     proj = ProjectionMap(
-        n=0, parity="even", source=x, target=y, vertex_map=(0, 1), edge_map=(0, 0, 1)
+        n=0, source=x, target=y, vertex_map=(0, 1), edge_map=(0, 0, 1)
     )
     assert verify_commutation(proj)
     rank, injective = induced_h1_map(proj)
@@ -264,8 +264,8 @@ def test_stage_report_equals_dense_reference(fib):
 
 
 def edge_cells(proj: ProjectionMap):
-    """(image, tail, head) of each source edge, as the union-find reads them."""
-    return [(image, e.tail, e.head) for e, image in zip(proj.source.edges, proj.edge_map)]
+    """(tail, head) of each source edge, as the union-find reads them."""
+    return [(e.tail, e.head) for e in proj.source.edges]
 
 
 def test_stage_report_rejects_disconnected_source(fib):
@@ -274,7 +274,7 @@ def test_stage_report_rejects_disconnected_source(fib):
     # rank D_s = 0, not V_s - 1, so the structural induced rank would be wrong
     source = SimpleDigraph(vertex_count=2, edges=(Edge(None, 0, 0), Edge(None, 0, 0), Edge(None, 1, 1)))
     target = SimpleDigraph(vertex_count=1, edges=(Edge(None, 0, 0),) * 3)
-    proj = ProjectionMap(n=1, parity="odd", source=source, target=target, vertex_map=(0, 0), edge_map=(0, 1, 2))
+    proj = ProjectionMap(n=1, source=source, target=target, vertex_map=(0, 0), edge_map=(0, 1, 2))
     assert verify_commutation(proj)
     assert coboundary_matrix(source).rank() == 0
     assert induced_h1_map(proj) == (3, True)
@@ -290,24 +290,25 @@ def test_stage_report_rejects_non_star_fiber(fib):
     # cell maps are surjective and commute, and h1 = 3 = s(1) + 1, but the
     # fiber's row in [M1 | D_s] is not a vertex difference: the dense
     # induced rank is 3, while a union-find that skipped the fiber would
-    # report 2
+    # report 2; the letter-drop map cannot make such a fiber, as it sends
+    # each edge onto its own tail word
     loop = Edge(None, 0, 0)
     source = SimpleDigraph(vertex_count=2, edges=(Edge(None, 0, 1), Edge(None, 1, 0), loop, loop))
     target = SimpleDigraph(vertex_count=1, edges=(loop,) * 3)
-    proj = ProjectionMap(n=1, parity="odd", source=source, target=target, vertex_map=(0, 0), edge_map=(0, 0, 1, 2))
+    proj = ProjectionMap(n=1, source=source, target=target, vertex_map=(0, 0), edge_map=(0, 0, 1, 2))
     assert verify_commutation(proj)
     assert induced_h1_map(proj) == (3, True)
     assert strongly_connected(source) and strongly_connected(target)
-    with pytest.raises(InvariantViolationError, match="is not a star"):
-        cohomology._combined_rank(edge_cells(proj))
     # over Z the fiber leaves the row 2(v1 - v0): the quotient has Z/2 torsion
     assert invariant_factors(_combined_matrix(proj)) == [1, 1, 1, 2]
 
 
 def test_stage_report_reads_the_projection_fibers(fib, monkeypatch):
     # the two letter-drop maps are homotopic (vertex w slides along edge w,
-    # from w[:-1] to w[1:]), so no rank tells them apart; the union-find must
-    # still read the edge fibers of the dense reference's projection
+    # from w[:-1] to w[1:]), so no rank tells them apart; the dense
+    # reference's projection must send each source edge onto its tail word,
+    # which keys the union-find's fibers, and the union-find must read
+    # exactly the source edges
     read = []
     combined = cohomology._combined_rank
 
@@ -321,7 +322,8 @@ def test_stage_report_reads_the_projection_fibers(fib, monkeypatch):
             stage_report(rule, n)
             proj = projection(rule, n)
             source, image = proj.source.vertices, [proj.target.edges[j].word for j in proj.edge_map]
-            cells = sorted((c, source[e.tail], source[e.head]) for c, e in zip(image, proj.source.edges))
+            assert image == [source[e.tail] for e in proj.source.edges], (rule.name, n)
+            cells = sorted((source[e.tail], source[e.head]) for e in proj.source.edges)
             assert read.pop() == cells, (rule.name, n)
 
 
@@ -443,7 +445,6 @@ def test_shuffled_projection_keeps_quotient_dimensions(fib):
     )
     shuffled = ProjectionMap(
         n=n,
-        parity=proj.parity,
         source=source,
         target=proj.target,
         vertex_map=tuple(proj.vertex_map[vperm[i]] for i in range(len(vperm))),
