@@ -2,8 +2,9 @@
 
 The dense functions build the stage graphs, the coboundaries D and the 0/1
 fiber-indicator pullbacks M0, M1, and take every rank by exact elimination;
-they are the reference.  ``Stage.report`` builds no graph and runs no
-elimination: it reads the word sets F_n, F_{n+1} and F_{n+2} by membership.
+they are the reference.  ``Stage.report`` builds no graph, runs no
+elimination and walks no word set: it reads the sizes of F_n, F_{n+1},
+F_{n+2} and the split that the corner step tallied while it built F_{n+2}.
 The bonding map drops the last letter of every vertex and edge word.
 Dropping the first letter instead gives a homotopic map: with H phi(w) =
 phi(edge w), M1_first - M1_last = D_s H and M0_first - M0_last = H D_t, so
@@ -13,27 +14,37 @@ over words check strongly connected; rank M0 = V_t and rank M1 = E_t,
 because the letter-drop map covers its targets; and D_s M0 = M1 D_t, since
 dropping a letter commutes with taking the tail and the head of a word.
 The map covers its targets because every vertex of both stage graphs starts
-an edge: each word of F_n is the prefix of a word of F_{n+1}, and each word
-of F_{n+1} of one of F_{n+2}.  It does because the report raises unless
-both stage graphs are strongly connected, and each has at least two
-vertices: the corner step checks that F_j extends into F_{j+1} for j <= n,
-so each letter begins a word of F_n and of F_{n+1}.
+an edge, as both are strongly connected with at least two vertices (the
+corner step checks that F_j extends into F_{j+1} for j <= n, so each letter
+begins a word of F_n and of F_{n+1}).
 
 The fifth, C = rank [M1 | D_s], is a graph-component count.  Row e of
 [M1 | D_s] is a unit at the image edge beside the coboundary row
 head(e) - tail(e).  Group the source edges by image; the first edge e0 of
 each group is its pivot, and pivoting on its M1 unit is unimodular, so the
 pivots give rank E_t and clear the M1 block from the rest of the group.
-There the row left is (head(e) - tail(e)) - (head(e0) - tail(e0)).  The
-fiber over c is {cy : y in R(c)}: each source edge maps onto its own tail
-word, so the edges of a fiber share their tail c, and the row left is
-head(e) - head(e0), the difference of two source vertices.  The rows left
-thus form the incidence matrix R of a graph on the V_s source vertices, of
-rank V_s - components, and C = E_t + V_s - components.
+Each source edge xuy maps onto its tail word xu, so the row left is
+uy - uy0, the difference of two heads: the rows left form the incidence
+matrix R of a graph on the V_s source vertices, and C = E_t + V_s -
+components.  Let E(u), for u in F_n, join x in L(u) to y in R(u) for each
+legal xuy.  R joins uy and uy' exactly when y and y' lie in one component
+of E(u), and words with different u never meet.  Each component of E(u)
+has a right vertex, as every xu extends to the right (the sweep of stage
+n+1 checks it), so there are sum_u c(E(u)) = V_t + split components, with
+c the component count and split = sum_u (c(E(u)) - 1):
 
-So h1 = E_t - V_t + 1, the induced rank is C - (V_s - 1), h0_quotient =
-V_s - V_t + E_t - C = components - V_t, which is 0 exactly when each vertex
-fiber is joined by the star rows, and h1_quotient = E_s - C.
+    C = 2 p(n+1) - p(n) - split,  h0_quotient = split,
+    h1_quotient = s(n+1) - s(n) + split,  induced rank = h1 - split,
+
+and the bonding map is injective exactly when every E(u) is connected.
+Only bispecials add to the split, as every other E(u) is a star.  On two
+letters a weak bispecial's E(u) is a perfect matching, c = 2, and every
+other u has c = 1, so split = wb(n): ``h0_quotient_zero``,
+``induced_h1_injective`` and ``h1_quotient_matches_bispecials`` (by the
+bispecial identity h1_quotient = sb, which it compares with sb - wb) each
+hold exactly when wb(n) = 0.  These rows read the same census as sb and wb,
+so they cannot catch a wrong census; the tests check it, against a
+union-find over the projection's edge fibers and the dense eliminations.
 
 Over Z: the pivots are unimodular row and column operations, and R, with
 one +1 and one -1 in each nonzero row, is totally unimodular, so every
@@ -45,17 +56,18 @@ infinite since h1 = s(n)+1 grows without bound.  This rests on the fibers
 being stars, which they are by construction, as each edge maps onto its
 tail word; a map with a fiber that is not a star can leave torsion.
 References: Sadun, *Topology of Tiling Spaces* (AMS 2008), ch. 2-3;
-Anderson & Putnam, ETDS 18 (1998).
+Anderson & Putnam, ETDS 18 (1998); Cassaigne, *Complexité et facteurs
+spéciaux*, Bull. Belg. Math. Soc. 4 (1997).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .complexity import SpecialsReport, first_difference, specials_report
 from .errors import InvariantViolationError
-from .oracle import legal_subwords
+from .oracle import _legal_subword_set, legal_subwords
 from .rational import RationalMatrix
 from .rauzy import ProjectionMap, RauzyGraph, SimpleDigraph, strongly_connected, words_connected
 from .rules import RandomSubstitution
@@ -191,41 +203,15 @@ class CohomologyReport:
             raise InvariantViolationError(f"stage {self.n}: inconsistent injectivity flag")
 
 
-def _combined_rank(cells: Iterable[tuple[str, str]]) -> int:
-    """C = rank [M1 | D_s] by union-find over the edge fibers, from (tail, head) per source edge.
-
-    Each edge maps onto its tail word, so the fibers are keyed by tail; each
-    fiber's first edge is its pivot, and every other edge joins its head to
-    the pivot's head.  C = pivots + joins.
-    """
-    parent: dict[str, str] = {}  # a vertex not in it is a root
-
-    def find(u: str) -> str:
-        while u in parent:
-            parent[u] = parent.get(parent[u], parent[u])
-            u = parent[u]
-        return u
-
-    pivots: dict[str, str] = {}  # tail -> the pivot's head
-    joins = 0
-    for tail, head in cells:
-        u, w = find(head), find(pivots.setdefault(tail, head))
-        if u != w:
-            parent[u] = w
-            joins += 1
-    return len(pivots) + joins
-
-
 def _report(
-    rule: RandomSubstitution, n: int, connected: tuple[bool, bool], sizes: tuple[int, int, int, int], combined_rank: int
+    rule: RandomSubstitution, n: int, connected: tuple[bool, bool], sizes: tuple[int, int, int, int], split: int
 ) -> CohomologyReport:
-    """The stage-n report from the strong connectivity of stages n+1 and n, V_t, E_t, V_s, E_s and C."""
+    """The stage-n report from the strong connectivity of stages n+1 and n, V_t, E_t, V_s, E_s and the split."""
     for stage, ok in zip((n + 1, n), connected):
         if not ok:
             raise InvariantViolationError(f"stage-{stage} graph is not strongly connected")
     v_t, e_t, v_s, e_s = sizes
     h1 = e_t - v_t + 1
-    induced_rank = combined_rank - (v_s - 1)
     return CohomologyReport(
         n=n,
         vertices=v_t,
@@ -233,10 +219,10 @@ def _report(
         h1_rank=h1,
         s_plus_1=first_difference(rule, n) + 1,
         pullback_injective_on_cochains=True,
-        induced_map_rank=induced_rank,
-        induced_injective=induced_rank == h1,
-        h0_quotient_dim=v_s - v_t + e_t - combined_rank,
-        h1_quotient_dim=e_s - combined_rank,
+        induced_map_rank=h1 - split,
+        induced_injective=split == 0,
+        h0_quotient_dim=split,
+        h1_quotient_dim=e_s - (e_t + v_s - v_t - split),  # E_s - C
     )
 
 
@@ -265,17 +251,15 @@ class Stage:
         return specials_report(self.rule, self.n)
 
     def report(self) -> CohomologyReport:
-        """The cochain report of stage n; the source edges are the words w of F_{n+2}, from w[:-1] to w[1:],
-        and the letter-drop map sends each onto its tail word w[:-1]."""
+        """The cochain report of stage n, from the sizes of F_n, F_{n+1}, F_{n+2} and the census split of F_n."""
         rule, n = self.rule, self.n
-        cells = ((w[:-1], w[1:]) for w in legal_subwords(rule, n + 2).as_set())
         sizes = tuple(len(legal_subwords(rule, m)) for m in (n, n + 1, n + 1, n + 2))
-        return _report(rule, n, (self._connected(n + 1), self.connected), sizes, _combined_rank(cells))
+        split = _legal_subword_set(rule, n + 2)[1][-1]
+        return _report(rule, n, (self._connected(n + 1), self.connected), sizes, split)
 
 
 def stage_report(rule: RandomSubstitution, n: int) -> CohomologyReport:
-    """All cochain-level facts for stage n and its projection from stage n+1,
-    with no graph and no elimination, as the module docstring explains."""
+    """All cochain-level facts for stage n and its projection from stage n+1; see the module docstring."""
     return Stage(rule, n, {}).report()
 
 

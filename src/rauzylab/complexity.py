@@ -6,12 +6,12 @@ factors on a binary alphabet.  Bispecial factors are classified by the
 size of their legal corner set {(x, y) : xvy legal}: strong when all
 four corners occur, weak when only two, neutral when three.
 
-The census of length n is tallied by the oracle's corner step, in the
-pass over F_n that builds F_{n+2}: there L(v) holds the letters x with xv
-in F_{n+1}, R(v) those y with vy in F_{n+1}, and the corners of each
-bispecial are the ones the step decided, which are exactly the words of
-F_{n+2} with middle v.  ``specials_report`` reads that census from the
-oracle cache and reads only the sizes of F_n, F_{n+1} and F_{n+2}.
+The census of length n is tallied by the oracle's corner step in its pass
+over F_n, the only pass over the words of each length: L(v) and R(v) are
+read by membership in F_{n+1}, and the corners of each bispecial are the
+words of F_{n+2} with middle v, which the step decided.  It also carries
+the split that the cochain report reads.  ``specials_report`` reads the
+census from the oracle cache, and only the sizes of F_n, F_{n+1}, F_{n+2}.
 """
 
 from __future__ import annotations
@@ -91,7 +91,7 @@ def specials_report(rule: RandomSubstitution, n: int) -> SpecialsReport:
         raise ValueError("length must be >= 1")
     p, longer, deeper = (len(legal_subwords(rule, m)) for m in (n, n + 1, n + 2))
     s = longer - p
-    rights, lefts, bis, strong, weak, neutral, no_weak = _legal_subword_set(rule, n + 2)[1]
+    rights, lefts, bis, strong, weak, neutral, no_weak, _ = _legal_subword_set(rule, n + 2)[1]
     if len(rule.alphabet) == 2 and not len(rights) == len(lefts) == s:
         raise InvariantViolationError(
             f"specials count mismatch at n={n}: rs={len(rights)} ls={len(lefts)} s={s}"

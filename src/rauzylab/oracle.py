@@ -86,26 +86,6 @@ def _generation_windows(rule: RandomSubstitution, k: int, m: int) -> frozenset[s
     return frozenset(windows[k])
 
 
-def _extensions(
-    rule: RandomSubstitution, shorter: frozenset[str], longer: frozenset[str]
-) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
-    """Right and left extensions in ``longer`` (F_{j+1}) of each word of ``shorter`` (F_j).
-
-    Raises unless every word of F_j extends on both sides and every word of
-    F_{j+1} has its prefix and suffix in F_j.
-    """
-    rights: dict[str, list[str]] = {}
-    lefts: dict[str, list[str]] = {}
-    for w in longer:
-        rights.setdefault(w[:-1], []).append(w[-1])
-        lefts.setdefault(w[1:], []).append(w[0])
-    if not rights.keys() == lefts.keys() == shorter:
-        raise InvariantViolationError(
-            f"rule {rule.name!r} has a legal word with no legal extension on one side"
-        )
-    return rights, lefts
-
-
 def _check_primitive(rule: RandomSubstitution) -> None:
     """Raise unless the rule is primitive and expanding.
 
@@ -137,17 +117,32 @@ def _reversal_closed(rule: RandomSubstitution) -> bool:
 
 
 #: the specials census of one length: right specials, left specials and bispecials, the strong, weak and
-#: neutral counts, and whether no bispecial is weak
-Census = tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...], int, int, int, bool]
+#: neutral counts, whether no bispecial is weak, and the split, the sum over bispecials of c(E(v)) - 1
+Census = tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...], int, int, int, bool, int]
+
+
+def _components(xs: list[str], ys: list[str], pairs: set[tuple[str, str]]) -> int:
+    """c(E(v)): the components of the graph on the left letters xs and the right letters ys, one edge per pair."""
+    parts = [{(0, x)} for x in xs] + [{(1, y)} for y in ys]
+    for x, y in pairs:
+        a, b = (next(part for part in parts if u in part) for u in ((0, x), (1, y)))
+        if a is not b:
+            a |= b
+            parts.remove(b)
+    return len(parts)
 
 
 def _corner_step(rule: RandomSubstitution, built: list[frozenset[str]]) -> tuple[frozenset[str], Census]:
     """F_m from built[j] = F_j for j < m (F_0 = {""}), deciding only the corners of bispecials.
 
-    Every legal m-word is xvy with xv and vy in F_{m-1}.  If v has one
-    right extension y, every legal xv extends, and only by y, so xvy is
-    legal for every x; the same holds with one left extension.  The other
-    xvy, the corners of bispecial v, are decided by ``corners``, one
+    Every legal m-word is xvy with x in L(v) and y in R(v), which are read
+    by membership in F_{m-1}.  The step raises unless F_{m-2} and F_{m-1}
+    extend into each other: each L(v) and R(v) nonempty, and sum |R(v)| =
+    sum |L(v)| = |F_{m-1}|, as a word of F_{m-1} is counted in the right
+    (left) sum once, and only if its prefix (suffix) is in F_{m-2}.  If v
+    has one right extension y, every legal xv extends, and only by y, so
+    xvy is legal for every x; the same holds with one left extension.  The
+    other xvy, the corners of bispecial v, are decided by ``corners``, one
     search over v for all of them.  A corner u that lies in one
     realization (possible only while m <= the longest one) is legal at
     once.  Any other u is parsed into blocks of theta: a nonempty suffix
@@ -204,9 +199,16 @@ def _corner_step(rule: RandomSubstitution, built: list[frozenset[str]]) -> tuple
     every xvy legal.  A twin takes the class and the verdict of the one
     searched: reversal swaps the two conditions, so their AND is kept.  A
     bispecial with no legal corner raises.
+
+    It also tallies the split, the sum of c(E(v)) - 1, where the extension
+    graph E(v) joins x in L(v) to y in R(v) for each legal xvy (Cassaigne
+    1997) and c counts its components.  A star or a complete E(v) has c =
+    1, so only a bispecial with an illegal corner is counted; a twin has
+    its partner's c, as reversal transposes E(v).
     """
     m = len(built)
-    rights, lefts = _extensions(rule, built[m - 2], built[m - 1])
+    shorter, has, letters = built[m - 2], built[m - 1].__contains__, rule.alphabet
+    stuck = f"rule {rule.name!r} has a legal word with no legal extension on one side"
     realizations = [(a, r) for a in rule.alphabet for r in rule.realizations(a)]
     covering = [r for _, r in realizations if len(r) >= m]  # those an m-word can lie in
     blocks: dict[str, list[tuple[str, str, int]]] = {}
@@ -254,22 +256,32 @@ def _corner_step(rule: RandomSubstitution, built: list[frozenset[str]]) -> tuple
 
     mirror = _reversal_closed(rule)
     out: set[str] = set()
-    rs, ls, bis = [], [], []
-    strong = weak = neutral = 0
-    no_weak = True
-    for v in built[m - 2]:
-        xs, ys = lefts[v], rights[v]
+    rs, ls = [], []
+    bis: dict[str, tuple[list[str], list[str]]] = {}  # bispecial v -> (L(v), R(v))
+    seen_left = seen_right = 0
+    for v in shorter:
+        xs = [x for x in letters if has(x + v)]
+        ys = [y for y in letters if has(v + y)]
+        if not xs or not ys:
+            raise InvariantViolationError(stuck)
+        seen_left += len(xs)
+        seen_right += len(ys)
         if len(ys) > 1:
             rs.append(v)
         if len(xs) > 1:
             ls.append(v)
         if len(xs) == 1 or len(ys) == 1:
             out.update(x + v + y for x in xs for y in ys)
-            continue
-        bis.append(v)
+        else:
+            bis[v] = xs, ys
+    if not seen_left == seen_right == len(built[m - 1]):
+        raise InvariantViolationError(stuck)
+    strong = weak = neutral = split = 0
+    no_weak = True
+    for v, (xs, ys) in bis.items():
         twins = 1
         if mirror and (rv := v[::-1]) != v:
-            if rv not in rights or set(lefts[rv]) != set(ys) or set(rights[rv]) != set(xs):
+            if bis.get(rv) != (ys, xs):
                 raise InvariantViolationError(f"rule {rule.name!r}: the extensions of {v!r} and {rv!r} do not mirror")
             if rv < v:
                 continue  # its corners, class and verdict come from the search over rv
@@ -290,7 +302,9 @@ def _corner_step(rule: RandomSubstitution, built: list[frozenset[str]]) -> tuple
             weak += twins
         else:
             neutral += twins
-    return frozenset(out), (tuple(rs), tuple(ls), tuple(bis), strong, weak, neutral, no_weak)
+        if len(pairs) < len(xs) * len(ys):  # a complete E(v) is connected
+            split += twins * (_components(xs, ys, pairs) - 1)
+    return frozenset(out), (tuple(rs), tuple(ls), tuple(bis), strong, weak, neutral, no_weak, split)
 
 
 @lru_cache(maxsize=None)

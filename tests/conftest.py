@@ -6,7 +6,10 @@ agreement with the package's aggregated recursion is meaningful.  Window
 closure computes F_m of any primitive rule by inflating windows forward,
 where the package parses corners backward to shorter legal words.  The
 table census classifies each word by its own extension table, with every
-letter and letter pair looked up, where the package reads extension maps.
+letter and letter pair looked up, where the package tallies the census in
+its corner step.  The union-find counts the components of the graph that
+a projection's edge fibers leave in [M1 | D_s], where the package reads
+them off the census's split.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 import pytest
+from hypothesis import strategies as st
 
 from rauzylab import RandomSubstitution, fibonacci_rule, legal_subwords
 
@@ -213,6 +217,41 @@ def table_census(rule, n: int) -> dict:
         "bispecial_identity": len(corner_set) - len(ext) - s == strong - weak,
         "no_weak_bispecials": no_weak,
     }
+
+
+def combined_rank(cells) -> int:
+    """C = rank [M1 | D_s] by union-find over the edge fibers, from (tail, head) per source edge.
+
+    Each edge of a letter-drop projection maps onto its tail word, so the
+    fibers are keyed by tail; each fiber's first edge is its pivot, and
+    every other edge joins its head to the pivot's head.  C = pivots + joins.
+    """
+    parent: dict = {}  # a vertex not in it is a root
+
+    def find(u):
+        while u in parent:
+            parent[u] = parent.get(parent[u], parent[u])
+            u = parent[u]
+        return u
+
+    pivots: dict = {}  # tail -> the pivot's head
+    joins = 0
+    for tail, head in cells:
+        u, w = find(head), find(pivots.setdefault(tail, head))
+        if u != w:
+            parent[u] = w
+            joins += 1
+    return len(pivots) + joins
+
+
+@st.composite
+def small_rules(draw) -> RandomSubstitution:
+    """A rule on 2 or 3 letters, each with 1 to 3 realizations of 1 to 3 letters."""
+    letters = draw(st.sampled_from(("ab", "abc")))
+    words = st.lists(st.text(letters, min_size=1, max_size=3), min_size=1, max_size=3, unique=True)
+    return RandomSubstitution(
+        name="drawn", alphabet=tuple(letters), rules=tuple((a, tuple(draw(words))) for a in letters)
+    )
 
 
 def census_fields(rep) -> dict:

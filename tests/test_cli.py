@@ -17,7 +17,7 @@ from rauzylab import cli, cohomology, fibonacci_rule, legal_subwords, oracle, ra
 from rauzylab.cli import main
 from rauzylab.words import WordSet
 
-from conftest import FIB_ROWS_18
+from conftest import FIB_ROWS_18, THREE_LETTER, THUE_MORSE
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -311,10 +311,10 @@ def test_cohomology_invariant_failure_exits_nonzero(capsys, monkeypatch):
 
 
 def test_verify_builds_each_stage_fact_once(capsys, monkeypatch, tmp_path):
-    sorts, graphs, sweeps, censuses, maps = Counter(), Counter(), Counter(), Counter(), Counter()
+    sorts, graphs, sweeps, censuses, steps = Counter(), Counter(), Counter(), Counter(), Counter()
     sort = WordSet.__dict__["words"].func
     build, connected, census = rauzy.build_rauzy, cohomology.words_connected, cohomology.specials_report
-    extensions = oracle._extensions
+    step = oracle._corner_step
 
     def counted_sort(word_set):
         words = sort(word_set)
@@ -329,10 +329,9 @@ def test_verify_builds_each_stage_fact_once(capsys, monkeypatch, tmp_path):
         sweeps[len(next(iter(words)))] += 1
         return connected(alphabet, words, longer)
 
-    def counted_extensions(rule, shorter, longer):
-        # keyed by the F_m being built, which reads the maps of F_{m-2} into F_{m-1}
-        maps[sys._getframe(1).f_code.co_name, len(next(iter(longer))) + 1] += 1
-        return extensions(rule, shorter, longer)
+    def counted_step(rule, built):
+        steps[len(built)] += 1  # keyed by the F_m it builds
+        return step(rule, built)
 
     def counted_census(rule, n):
         censuses[n] += 1
@@ -345,9 +344,7 @@ def test_verify_builds_each_stage_fact_once(capsys, monkeypatch, tmp_path):
         monkeypatch.setattr(module, "build_rauzy", counted_build)
     monkeypatch.setattr(cohomology, "words_connected", counted_sweep)
     monkeypatch.setattr(cohomology, "specials_report", counted_census)
-    for module in list(sys.modules.values()):
-        if getattr(module, "_extensions", None) is extensions:  # in every module that binds it
-            monkeypatch.setattr(module, "_extensions", counted_extensions)
+    monkeypatch.setattr(oracle, "_corner_step", counted_step)
     monkeypatch.delenv("RAUZYLAB_OUT", raising=False)
     oracle._legal_subword_set.cache_clear()  # so that every F_m is built in this run
     code, out, _ = run_cli(capsys, "verify", "--rule", "fib", "--max-n", "8")
@@ -360,10 +357,11 @@ def test_verify_builds_each_stage_fact_once(capsys, monkeypatch, tmp_path):
     assert graphs == Counter()
     assert sweeps == Counter(range(1, 10))
     assert censuses == Counter(range(1, 9))
-    # the extension maps are built only by the corner step, once for each F_m
-    # with m >= 2: F_2..F_10 for the stages, and on to F_13 = F_{f_7} for the
-    # generation-window identity at n = 7
-    assert maps == Counter(("_corner_step", m) for m in range(2, 14))
+    # the corner step is the only pass over the words of each length, and it
+    # runs once for each F_m with m >= 2: F_2..F_10 for the stages, whose
+    # censuses and cochain reports it tallies, and on to F_13 = F_{f_7} for
+    # the generation-window identity at n = 7
+    assert steps == Counter(range(2, 14))
     # report's DOT files list F_1..F_4 in order: each is sorted once, from the cache
     assert run_cli(capsys, "report", "--max-n", "3", "--out", str(tmp_path))[0] == 0
     assert graphs == Counter(range(1, 4))
@@ -373,7 +371,7 @@ def test_verify_builds_each_stage_fact_once(capsys, monkeypatch, tmp_path):
     # and reads each census from the corner step that built F_{n+2}: the
     # complexity module sees only the sizes of the word sets, so a census that
     # walked F_n, or looked a word up in F_{n+1} or F_{n+2}, would fail
-    maps.clear()
+    steps.clear()
     censuses.clear()
     oracle._legal_subword_set.cache_clear()
     monkeypatch.setattr(sys.modules["rauzylab.complexity"], "legal_subwords", SizeOnly)
@@ -381,7 +379,27 @@ def test_verify_builds_each_stage_fact_once(capsys, monkeypatch, tmp_path):
     assert code == 0
     assert out.splitlines()[1:] == [",".join(map(str, row)) for row in FIB_ROWS_18[:8]]
     assert censuses == Counter(range(1, 9))
-    assert maps == Counter(("_corner_step", m) for m in range(2, 11))
+    assert steps == Counter(range(2, 11))
+
+
+#: exit code, failing rows and stdout sha256 of ``verify --rule-file RULE.json --max-n 8``, pinned
+#: while the cochain rows came from a union-find over F_{n+2}, before they read the census
+FAILING_VERIFY_8 = {
+    "three-letter": (1, 28, "2dc45224d0f25b4579a27ea130563cd9cd5f2bc20f3a92bdf0347923668460fc"),
+    "thue-morse": (1, 8, "cb523d523c871a66e55091cac43173285dc6b0911506ca2a7a51b59f638873af"),
+}
+
+
+@pytest.mark.parametrize("rule", [THREE_LETTER, THUE_MORSE], ids=lambda rule: rule.name)
+def test_verify_keeps_failing_rules_failing(capsys, tmp_path, rule):
+    # the cochain rows read the same census as sb and wb; a rule whose tower
+    # facts fail must still fail the same rows, row for row
+    path = tmp_path / f"{rule.name}.json"
+    spec = {"alphabet": list(rule.alphabet), "rules": {a: [list(r) for r in rs] for a, rs in rule.rules}}
+    path.write_text(json.dumps(spec))
+    code, out, _ = run_cli(capsys, "verify", "--rule-file", str(path), "--max-n", "8")
+    failing = sum(line.endswith(" fail") for line in out.splitlines())
+    assert (code, failing, hashlib.sha256(out.encode()).hexdigest()) == FAILING_VERIFY_8[rule.name]
 
 
 class SizeOnly:

@@ -3,12 +3,13 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
 
 from rauzylab import (
     Edge,
+    InvalidRuleError,
     InvariantViolationError,
     ProjectionMap,
-    RandomSubstitution,
     RationalMatrix,
     RauzyGraph,
     SimpleDigraph,
@@ -31,20 +32,18 @@ from rauzylab import (
     strongly_connected,
     verify_commutation,
 )
-from rauzylab import cohomology, kernels
+from rauzylab import cohomology, kernels, oracle
 
-from conftest import DEPTH_THREE, DET_FIB, NO_DEPTH
-
-THUE_MORSE = RandomSubstitution(
-    name="thue-morse", alphabet=("a", "b"), rules=(("a", ("ab",)), ("b", ("ba",)))
-)
-PERIOD_DOUBLING = RandomSubstitution(
-    name="period-doubling", alphabet=("a", "b"), rules=(("a", ("ab",)), ("b", ("aa",)))
-)
-THREE_LETTER = RandomSubstitution(
-    name="abc-cba",
-    alphabet=("a", "b", "c"),
-    rules=(("a", ("abc", "cba")), ("b", ("ac",)), ("c", ("b",))),
+from conftest import (
+    DEPTH_THREE,
+    DET_FIB,
+    MIRROR_THREE,
+    NO_DEPTH,
+    PERIOD_DOUBLING,
+    THREE_LETTER,
+    THUE_MORSE,
+    combined_rank,
+    small_rules,
 )
 
 
@@ -260,12 +259,64 @@ def test_stage_report_equals_dense_reference(fib):
             assert verify_commutation(proj), (rule.name, n)
             if not rep.induced_injective:
                 non_injective.setdefault(rule.name, []).append(n)
-    assert non_injective == {"thue-morse": [3, 6], "period-doubling": [2, 5], "abc-cba": [6]}
+    assert non_injective == {"thue-morse": [3, 6], "period-doubling": [2, 5], "three-letter": [6]}
 
 
 def edge_cells(proj: ProjectionMap):
     """(tail, head) of each source edge, as the union-find reads them."""
     return [(e.tail, e.head) for e in proj.source.edges]
+
+
+def union_find_split(proj: ProjectionMap) -> int:
+    """Components less V_t, with the components of the fiber graph counted by the union-find reference:
+    C = E_t + V_s - components."""
+    components = proj.target.edge_count + proj.source.vertex_count - combined_rank(edge_cells(proj))
+    return components - proj.target.vertex_count
+
+
+def census_split(rule, n: int) -> int:
+    """The split of F_n's census, which the corner step tallied while it built F_{n+2}."""
+    return oracle._legal_subword_set(rule, n + 2)[1][-1]
+
+
+def assert_split(rule, n: int) -> int:
+    """The census split of stage n equals both references, and the cochain report reads it."""
+    proj = projection(rule, n)
+    split = census_split(rule, n)
+    assert split == union_find_split(proj) == quotient_h0(proj), (rule.rules, n)
+    assert stage_report(rule, n).h0_quotient_dim == split, (rule.rules, n)
+    if len(rule.alphabet) == 2:
+        # every vertex of E(u) has an edge, so only a weak bispecial, a perfect matching, splits
+        assert split == specials_report(rule, n).weak_count, (rule.rules, n)
+    return split
+
+
+def test_census_split_equals_union_find_and_dense_references(fib):
+    assert [assert_split(fib, n) for n in range(1, 13)] == [0] * 12
+    for k in range(1, 6):
+        for n in range(1, 9 if k <= 2 else 7):
+            assert assert_split(noble_means_rule(k), n) == 0, (k, n)
+    splits = {
+        rule.name: [assert_split(rule, n) for n in range(1, 7)]
+        for rule in (THUE_MORSE, PERIOD_DOUBLING, DET_FIB, THREE_LETTER, MIRROR_THREE, DEPTH_THREE, NO_DEPTH)
+    }
+    # the splits fall exactly at the non-injective stages of the dense reference
+    assert {name: split for name, split in splits.items() if any(split)} == {
+        "thue-morse": [0, 0, 2, 0, 0, 2],
+        "period-doubling": [0, 1, 0, 0, 1, 0],
+        "three-letter": [0, 0, 0, 0, 0, 1],
+    }
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_rules())
+def test_census_split_on_small_rules(rule):
+    try:
+        oracle._check_primitive(rule)
+    except InvalidRuleError:
+        assume(False)
+    for n in range(1, 4):
+        assert_split(rule, n)
 
 
 def test_stage_report_rejects_disconnected_source(fib):
@@ -281,7 +332,7 @@ def test_stage_report_rejects_disconnected_source(fib):
     connected = (strongly_connected(source), strongly_connected(target))
     sizes = (target.vertex_count, target.edge_count, source.vertex_count, source.edge_count)
     with pytest.raises(InvariantViolationError, match="stage-2 graph is not strongly connected"):
-        cohomology._report(fib, 1, connected, sizes, cohomology._combined_rank(edge_cells(proj)))
+        cohomology._report(fib, 1, connected, sizes, union_find_split(proj))
 
 
 def test_stage_report_rejects_non_star_fiber(fib):
@@ -303,28 +354,19 @@ def test_stage_report_rejects_non_star_fiber(fib):
     assert invariant_factors(_combined_matrix(proj)) == [1, 1, 1, 2]
 
 
-def test_stage_report_reads_the_projection_fibers(fib, monkeypatch):
+def test_stage_report_reads_the_projection_fibers(fib):
     # the two letter-drop maps are homotopic (vertex w slides along edge w,
     # from w[:-1] to w[1:]), so no rank tells them apart; the dense
     # reference's projection must send each source edge onto its tail word,
-    # which keys the union-find's fibers, and the union-find must read
-    # exactly the source edges
-    read = []
-    combined = cohomology._combined_rank
-
-    def recorded(cells):
-        read.append(sorted(cells))
-        return combined(read[-1])
-
-    monkeypatch.setattr(cohomology, "_combined_rank", recorded)
+    # which keys the union-find's fibers, and the split the report reads
+    # from the census must equal the union-find's count over the source edges
     for rule in (fib, THUE_MORSE):
         for n in range(1, 7):
-            stage_report(rule, n)
             proj = projection(rule, n)
             source, image = proj.source.vertices, [proj.target.edges[j].word for j in proj.edge_map]
             assert image == [source[e.tail] for e in proj.source.edges], (rule.name, n)
-            cells = sorted((source[e.tail], source[e.head]) for e in proj.source.edges)
-            assert read.pop() == cells, (rule.name, n)
+            assert census_split(rule, n) == union_find_split(proj), (rule.name, n)
+            assert stage_report(rule, n).h0_quotient_dim == union_find_split(proj), (rule.name, n)
 
 
 @pytest.mark.parametrize("n", [3, 4])

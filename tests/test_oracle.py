@@ -46,6 +46,7 @@ from conftest import (
     brute_generation,
     brute_legal,
     census_fields,
+    small_rules,
     table_census,
     window_closure,
 )
@@ -103,16 +104,6 @@ def test_legal_subwords_equal_window_closure(fib):
             assert legal_subwords(rule, m).as_set() == window_closure(rule, m), (rule.name, m)
 
 
-@st.composite
-def small_rules(draw) -> RandomSubstitution:
-    """A rule on 2 or 3 letters, each with 1 to 3 realizations of 1 to 3 letters."""
-    letters = draw(st.sampled_from(("ab", "abc")))
-    words = st.lists(st.text(letters, min_size=1, max_size=3), min_size=1, max_size=3, unique=True)
-    return RandomSubstitution(
-        name="drawn", alphabet=tuple(letters), rules=tuple((a, tuple(draw(words))) for a in letters)
-    )
-
-
 @settings(max_examples=200, deadline=None)
 @given(small_rules())
 def test_legal_subwords_equal_window_closure_on_small_rules(rule):
@@ -122,7 +113,7 @@ def test_legal_subwords_equal_window_closure_on_small_rules(rule):
         assume(False)
     for m in range(1, 7 if len(rule.alphabet) == 2 else 5):
         assert legal_subwords(rule, m).as_set() == window_closure(rule, m), (rule.rules, m)
-    # the stage facts read off words and extension maps, against the
+    # the stage facts read off the corner step's census, against the
     # table census and the dense eliminations on built graphs
     for n in range(1, 4):
         assert census_fields(specials_report(rule, n)) == table_census(rule, n), (rule.rules, n)
@@ -263,11 +254,19 @@ def test_rule_without_depth_keeps_window_closure():
 
 def test_seed_extendability_is_checked(fib):
     # without bba, the legal 2-word bb has no right extension in F_3; with
-    # F_2 = {aa}, the letter b has no extension in F_2.  The step that reads
-    # each broken pair must refuse it.
-    legal = [frozenset([""])] + [legal_subwords(fib, j).as_set() for j in (1, 2, 3)]
-    for built in (legal[:3] + [legal[3] - {"bba"}], legal[:2] + [frozenset({"aa"})]):
-        with pytest.raises(InvariantViolationError, match="extension"):
+    # F_2 = {aa}, the letter b has no extension in F_2.  A stray word in F_5
+    # whose prefix is not in F_4 (bbbab: bbba) or whose suffix is not
+    # (babbb: abbb) extends a word of F_4 on one side only, so only the sum
+    # of the right (left) extension counts can catch it.  The step that
+    # reads each broken pair must refuse it.
+    legal = [frozenset([""])] + [legal_subwords(fib, j).as_set() for j in range(1, 6)]
+    for built in (
+        legal[:3] + [legal[3] - {"bba"}],
+        legal[:2] + [frozenset({"aa"})],
+        legal[:5] + [legal[5] | {"bbbab"}],
+        legal[:5] + [legal[5] | {"babbb"}],
+    ):
+        with pytest.raises(InvariantViolationError, match="no legal extension on one side"):
             _corner_step(fib, built)
 
 
