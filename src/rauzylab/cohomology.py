@@ -9,14 +9,14 @@ The bonding map drops the last letter of every vertex and edge word.
 Dropping the first letter instead gives a homotopic map: with H phi(w) =
 phi(edge w), M1_first - M1_last = D_s H and M0_first - M0_last = H D_t, so
 no rank depends on the choice.  Four ranks come from structure, each
-checked where it arises: rank D = V - 1 on both stage graphs, which sweeps
-over words check strongly connected; rank M0 = V_t and rank M1 = E_t,
-because the letter-drop map covers its targets; and D_s M0 = M1 D_t, since
-dropping a letter commutes with taking the tail and the head of a word.
-The map covers its targets because every vertex of both stage graphs starts
-an edge, as both are strongly connected with at least two vertices (the
-corner step checks that F_j extends into F_{j+1} for j <= n, so each letter
-begins a word of F_n and of F_{n+1}).
+checked where it arises: rank D = V - 1 on both stage graphs, as both are
+strongly connected; rank M0 = V_t and rank M1 = E_t, as the map covers its
+targets; and D_s M0 = M1 D_t, since dropping a letter commutes with taking
+the tail and the head of a word.  It covers them because each word of F_j
+extends into F_{j+1}: the step that builds F_{j+2} checks it, and the sweep
+of the top graph does for the top j.  So it maps paths onto paths, and if
+stage m+1 is strongly connected, so is stage m: the deepest graph of a
+tower is swept once, and a failing top scans down.
 
 The fifth, C = rank [M1 | D_s], is a graph-component count.  Row e of
 [M1 | D_s] is a unit at the image edge beside the coboundary row
@@ -29,9 +29,9 @@ matrix R of a graph on the V_s source vertices, and C = E_t + V_s -
 components.  Let E(u), for u in F_n, join x in L(u) to y in R(u) for each
 legal xuy.  R joins uy and uy' exactly when y and y' lie in one component
 of E(u), and words with different u never meet.  Each component of E(u)
-has a right vertex, as every xu extends to the right (the sweep of stage
-n+1 checks it), so there are sum_u c(E(u)) = V_t + split components, with
-c the component count and split = sum_u (c(E(u)) - 1):
+has a right vertex, as every xu extends to the right (F_{n+1} extends
+into F_{n+2}, as above), so there are sum_u c(E(u)) = V_t + split
+components, with c the component count and split = sum_u (c(E(u)) - 1):
 
     C = 2 p(n+1) - p(n) - split,  h0_quotient = split,
     h1_quotient = s(n+1) - s(n) + split,  induced rank = h1 - split,
@@ -62,7 +62,6 @@ spéciaux*, Bull. Belg. Math. Soc. 4 (1997).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from .complexity import SpecialsReport, first_difference, specials_report
@@ -179,8 +178,7 @@ def quotient_h1(proj: ProjectionMap) -> int:
     return proj.source.edge_count - m1.hstack(d).rank()
 
 
-@dataclass(frozen=True)
-class CohomologyReport:
+class CohomologyReport(NamedTuple):
     """Per-stage summary of the cochain-level checks."""
 
     n: int
@@ -194,14 +192,6 @@ class CohomologyReport:
     h0_quotient_dim: int
     h1_quotient_dim: int
 
-    def __post_init__(self) -> None:
-        if self.h1_rank != self.s_plus_1:
-            raise InvariantViolationError(
-                f"stage {self.n}: h1 rank {self.h1_rank} != s+1 = {self.s_plus_1}"
-            )
-        if self.induced_injective != (self.induced_map_rank == self.h1_rank):
-            raise InvariantViolationError(f"stage {self.n}: inconsistent injectivity flag")
-
 
 def _report(
     rule: RandomSubstitution, n: int, connected: tuple[bool, bool], sizes: tuple[int, int, int, int], split: int
@@ -211,16 +201,21 @@ def _report(
         if not ok:
             raise InvariantViolationError(f"stage-{stage} graph is not strongly connected")
     v_t, e_t, v_s, e_s = sizes
-    h1 = e_t - v_t + 1
+    h1, s_plus_1 = e_t - v_t + 1, first_difference(rule, n) + 1
+    induced_rank, injective = h1 - split, split == 0
+    if h1 != s_plus_1:
+        raise InvariantViolationError(f"stage {n}: h1 rank {h1} != s+1 = {s_plus_1}")
+    if injective != (induced_rank == h1):
+        raise InvariantViolationError(f"stage {n}: inconsistent injectivity flag")
     return CohomologyReport(
         n=n,
         vertices=v_t,
         edges=e_t,
         h1_rank=h1,
-        s_plus_1=first_difference(rule, n) + 1,
+        s_plus_1=s_plus_1,
         pullback_injective_on_cochains=True,
-        induced_map_rank=h1 - split,
-        induced_injective=split == 0,
+        induced_map_rank=induced_rank,
+        induced_injective=injective,
         h0_quotient_dim=split,
         h1_quotient_dim=e_s - (e_t + v_s - v_t - split),  # E_s - C
     )
@@ -229,19 +224,21 @@ def _report(
 class Stage:
     """Stage n of the tower; each fact is computed when it is first asked for.
 
-    ``report`` sweeps the stage-(n+1) graph, and ``stage_tower`` hands that
-    verdict on to stage n+1, so each stage graph is swept once.
+    The stages of one tower share ``tower``: its top graph (n+1 if empty)
+    and, once swept, the highest connected one.  Connectivity passes down the
+    tower, so stage m is connected exactly when m is at most that highest one.
     """
 
-    def __init__(self, rule: RandomSubstitution, n: int, swept: dict[int, bool]) -> None:
-        self.rule, self.n, self.swept = rule, n, swept  # stage -> strongly connected
+    def __init__(self, rule: RandomSubstitution, n: int, tower: dict[str, int]) -> None:
+        self.rule, self.n, self.tower = rule, n, tower
 
     def _connected(self, m: int) -> bool:
-        """Whether the stage-m graph is strongly connected; it is swept on first reading."""
-        if m not in self.swept:
-            words, longer = (legal_subwords(self.rule, j).as_set() for j in (m, m + 1))
-            self.swept[m] = words_connected(self.rule.alphabet, words, longer)
-        return self.swept[m]
+        if "highest" not in self.tower:  # the deepest graph is swept once, and a failing top scans down
+            rule, j = self.rule, self.tower.get("top", self.n + 1)
+            while j and not words_connected(rule.alphabet, *(legal_subwords(rule, i).as_set() for i in (j, j + 1))):
+                j -= 1
+            self.tower["highest"] = j
+        return m <= self.tower["highest"]
 
     @property
     def connected(self) -> bool:
@@ -264,8 +261,6 @@ def stage_report(rule: RandomSubstitution, n: int) -> CohomologyReport:
 
 
 def stage_tower(rule: RandomSubstitution, max_n: int) -> Iterator[Stage]:
-    """Stages 1..max_n in order, streamed: each hands on only the connectivity of the next stage graph."""
-    swept: dict[int, bool] = {}
-    for n in range(1, max_n + 1):
-        swept = {n: swept[n]} if n in swept else {}
-        yield Stage(rule, n, swept)
+    """Stages 1..max_n in order, streamed; they share one connectivity verdict, from the top graph down."""
+    tower = {"top": max_n + 1}
+    return (Stage(rule, n, tower) for n in range(1, max_n + 1))

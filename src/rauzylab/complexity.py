@@ -16,7 +16,7 @@ census from the oracle cache, and only the sizes of F_n, F_{n+1}, F_{n+2}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, InvariantViolationError
 from .oracle import _legal_subword_set, legal_subwords
@@ -34,8 +34,7 @@ def first_difference(rule: RandomSubstitution, n: int) -> int:
     return complexity(rule, n + 1) - complexity(rule, n)
 
 
-@dataclass(frozen=True)
-class ExtensionTable:
+class ExtensionTable(NamedTuple):
     """Legal one-letter extensions of a factor on both sides."""
 
     word: str
@@ -55,8 +54,7 @@ def extension_table(rule: RandomSubstitution, v: str) -> ExtensionTable:
     return ExtensionTable(word=v, left=left, right=right, corners=corners)
 
 
-@dataclass(frozen=True)
-class SpecialsReport:
+class SpecialsReport(NamedTuple):
     """Specials census for one factor length, with the two identities that
     the same census pass decides."""
 

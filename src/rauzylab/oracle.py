@@ -26,8 +26,8 @@ checked on every pair F_{m-1}, F_m the step reads, else
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import InvalidRuleError, InvalidWordError, InvariantViolationError
 from .rules import RandomSubstitution, has_fibonacci_support
@@ -339,8 +339,7 @@ def is_legal(rule: RandomSubstitution, w: str) -> bool:
     return w in _legal_subword_set(rule, len(w))[0]
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(NamedTuple):
     """Outcome of one generation-window identity check."""
 
     n: int

@@ -11,7 +11,6 @@ depends on the choice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import InvariantViolationError
@@ -25,8 +24,7 @@ class Edge(NamedTuple):
     head: int
 
 
-@dataclass(frozen=True)
-class RauzyGraph:
+class RauzyGraph(NamedTuple):
     """Oriented multigraph over the legal factors of one length."""
 
     rule: RandomSubstitution
@@ -55,8 +53,7 @@ class RauzyGraph:
         return degs
 
 
-@dataclass(frozen=True)
-class SimpleDigraph:
+class SimpleDigraph(NamedTuple):
     """A bare multigraph for synthetic cochain examples."""
 
     vertex_count: int
@@ -128,8 +125,7 @@ def words_connected(alphabet: tuple[str, ...], words: frozenset[str], longer: fr
     )
 
 
-@dataclass(frozen=True)
-class ProjectionMap:
+class ProjectionMap(NamedTuple):
     """Cellular map from the stage-(n+1) graph onto the stage-n graph."""
 
     n: int

@@ -12,7 +12,6 @@ import itertools
 import json
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
@@ -20,22 +19,20 @@ from pathlib import Path
 from .errors import ConfigurationError, InvalidRuleError, InvalidWordError
 
 
-@dataclass(frozen=True)
 class RandomSubstitution:
     """A letter-to-realizations rule with optional probability vectors.
 
     ``rules`` keeps the realization lists in their declared (display)
     order; language-level computations use only these support sets, while
-    sampling additionally needs ``probabilities``.
+    sampling additionally needs ``probabilities``.  Rules are immutable;
+    two are equal when their four fields are.
     """
 
-    name: str
-    alphabet: tuple[str, ...]
-    rules: tuple[tuple[str, tuple[str, ...]], ...]
-    probabilities: tuple[tuple[str, tuple[Fraction, ...]], ...] | None = None
-    _rule_map: dict = field(init=False, repr=False, compare=False, hash=False, default=None)
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self, name: str, alphabet: tuple[str, ...], rules: tuple[tuple[str, tuple[str, ...]], ...],
+        probabilities: tuple[tuple[str, tuple[Fraction, ...]], ...] | None = None,
+    ) -> None:
+        self.__dict__.update(name=name, alphabet=alphabet, rules=rules, probabilities=probabilities)
         letters = set(self.alphabet)
         if len(self.alphabet) < 2:
             raise InvalidRuleError("alphabet must have at least two letters")
@@ -63,7 +60,24 @@ class RandomSubstitution:
                     raise InvalidRuleError(f"negative probability for {ch!r}")
                 if sum(vec, Fraction(0)) != 1:
                     raise InvalidRuleError(f"probabilities for {ch!r} must sum to 1 exactly")
-        object.__setattr__(self, "_rule_map", dict(self.rules))
+        self.__dict__["_rule_map"] = dict(self.rules)
+
+    def _fields(self) -> tuple:
+        return self.name, self.alphabet, self.rules, self.probabilities
+
+    def __eq__(self, other: object) -> bool:
+        return self._fields() == other._fields() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return "RandomSubstitution(name={!r}, alphabet={!r}, rules={!r}, probabilities={!r})".format(*self._fields())
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot set or delete {name!r} of an immutable rule")
+
+    __delattr__ = __setattr__
 
     def realizations(self, letter: str) -> tuple[str, ...]:
         try:

@@ -8,16 +8,24 @@ order is first read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
 
-@dataclass(frozen=True)
 class WordSet:
     """A deduplicated finite collection of words, listed in canonical order."""
 
-    members: frozenset[str]
+    def __init__(self, members: frozenset[str]) -> None:
+        self.members = members
+
+    def __eq__(self, other: object) -> bool:
+        return self.members == other.members if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.members,))
+
+    def __repr__(self) -> str:
+        return f"WordSet(members={self.members!r})"
 
     @classmethod
     def from_iterable(cls, items: Iterable[str]) -> "WordSet":

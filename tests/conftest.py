@@ -9,7 +9,8 @@ table census classifies each word by its own extension table, with every
 letter and letter pair looked up, where the package tallies the census in
 its corner step.  The union-find counts the components of the graph that
 a projection's edge fibers leave in [M1 | D_s], where the package reads
-them off the census's split.
+them off the census's split.  The stage sweeps test every stage graph on
+its own, where the package sweeps the deepest one and reads the rest off it.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import pytest
 from hypothesis import strategies as st
 
 from rauzylab import RandomSubstitution, fibonacci_rule, legal_subwords
+from rauzylab.rauzy import words_connected
 
 BRUTE_MAX_GENERATION = 8
 
@@ -244,6 +246,16 @@ def combined_rank(cells) -> int:
     return len(pivots) + joins
 
 
+def stage_sweeps(rule, top: int, words=legal_subwords) -> list[bool]:
+    """Whether each stage graph 1..top is strongly connected, each swept on its own over F_m and F_{m+1}.
+
+    The word sets are read through ``words``, so that a test can hand in a
+    cut one.
+    """
+    sets = [None] + [words(rule, m).as_set() for m in range(1, top + 2)]
+    return [words_connected(rule.alphabet, sets[m], sets[m + 1]) for m in range(1, top + 1)]
+
+
 @st.composite
 def small_rules(draw) -> RandomSubstitution:
     """A rule on 2 or 3 letters, each with 1 to 3 realizations of 1 to 3 letters."""
@@ -256,7 +268,7 @@ def small_rules(draw) -> RandomSubstitution:
 
 def census_fields(rep) -> dict:
     """A ``SpecialsReport`` as ``table_census`` returns it: its word lists as sets."""
-    fields = dict(vars(rep))
+    fields = rep._asdict()
     del fields["n"]
     for key in ("right_specials", "left_specials", "bispecials"):
         fields[key] = fields[key].as_set()

@@ -352,10 +352,11 @@ def test_verify_builds_each_stage_fact_once(capsys, monkeypatch, tmp_path):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_FIB_8_SHA256
     assert out.endswith("OK: 0 failing check(s) out of 77\n")
     # no word set's order is read, so nothing is sorted, and no graph is built;
-    # each stage graph, stage 9 as stage 8's source, is swept once
+    # one stage graph is swept, the deepest, stage 9 as stage 8's source: its
+    # connectivity passes down the letter-drop map to every stage below
     assert sorts == Counter()
     assert graphs == Counter()
-    assert sweeps == Counter(range(1, 10))
+    assert sweeps == Counter([9])
     assert censuses == Counter(range(1, 9))
     # the corner step is the only pass over the words of each length, and it
     # runs once for each F_m with m >= 2: F_2..F_10 for the stages, whose
@@ -438,3 +439,16 @@ def test_outputs_do_not_depend_on_hash_seed(tmp_path):
             outputs.append([stdout] + [f.read_bytes() for f in sorted(cwd.rglob("*")) if f.is_file()])
         assert outputs[0] == outputs[1], argv
         assert outputs[0][0] and len(outputs[0]) == (2 if argv[0] == "report" else 1), argv
+
+
+def test_deep_record_rows_match_the_cli(capsys):
+    # DEEP.json, written by tools/deep_record.py, holds the complexity and
+    # cohomology rows at the deepest --max-n it reached; its rows for n <= 16
+    # must be the CLI's own
+    deep = json.loads((Path(__file__).resolve().parent.parent / "DEEP.json").read_text())
+    assert all(run["exit"] == 0 for run in deep["runs"] if run["n"] <= deep["deepest"])
+    for command in ("complexity", "cohomology"):
+        assert [row["n"] for row in deep[command]] == list(range(1, deep["deepest"] + 1))
+        code, out, _ = run_cli(capsys, command, "--rule", "fib", "--max-n", "16", "--format", "json")
+        assert code == 0
+        assert deep[command][:16] == json.loads(out)["rows"]

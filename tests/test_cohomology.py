@@ -44,6 +44,7 @@ from conftest import (
     THUE_MORSE,
     combined_rank,
     small_rules,
+    stage_sweeps,
 )
 
 
@@ -382,6 +383,74 @@ def test_stage_report_checks_that_the_source_words_extend(fib, monkeypatch, n, s
     monkeypatch.setattr(cohomology, "legal_subwords", lambda rule, m: cut if m == n + 2 else real(rule, m))
     with pytest.raises(InvariantViolationError, match=f"stage-{n + 1} graph is not strongly connected"):
         stage_report(fib, n)
+
+
+def tower_verdicts(rule, max_n: int) -> list[bool]:
+    """The tower's verdicts on stage graphs 1..max_n+1: each stage's own, then the top's, read from stage max_n."""
+    stages = list(stage_tower(rule, max_n))
+    return [stage.connected for stage in stages] + [stages[-1]._connected(max_n + 1)]
+
+
+def test_tower_verdicts_equal_per_stage_sweeps(fib):
+    # strong connectivity passes down the letter-drop map, so the one sweep of
+    # the top graph gives every stage the verdict of its own sweep
+    cases = [(fib, max_n) for max_n in range(1, 15)] + [(noble_means_rule(m), 8) for m in range(1, 6)]
+    rules = (THUE_MORSE, PERIOD_DOUBLING, DET_FIB, THREE_LETTER, MIRROR_THREE, DEPTH_THREE, NO_DEPTH)
+    cases += [(rule, 6) for rule in rules]
+    for rule, max_n in cases:
+        assert tower_verdicts(rule, max_n) == stage_sweeps(rule, max_n + 1), (rule.name, max_n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_rules())
+def test_tower_verdicts_on_small_rules(rule):
+    try:
+        oracle._check_primitive(rule)
+    except InvalidRuleError:
+        assume(False)
+    assert tower_verdicts(rule, 3) == stage_sweeps(rule, 4), rule.rules
+
+
+@pytest.mark.parametrize("highest", [9, 5, 0])
+def test_the_scan_stops_at_the_first_passing_sweep(fib, monkeypatch, highest):
+    # sweeps that pass exactly up to stage ``highest`` of a tower topped at 9:
+    # the top and each next lower graph are swept until one passes, and no more
+    sweeps = []
+
+    def sweep(alphabet, words, longer):
+        sweeps.append(len(next(iter(words))))
+        return sweeps[-1] <= highest
+
+    monkeypatch.setattr(cohomology, "words_connected", sweep)
+    assert tower_verdicts(fib, 8) == [m <= highest for m in range(1, 10)]
+    assert sweeps == list(range(9, max(highest, 1) - 1, -1))
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_a_disconnected_top_scans_down(fib, monkeypatch, side):
+    # cut F_{top+1} as the extend test does: one word of F_top loses every
+    # extension on one side, so the top graph fails its sweep, and the scan
+    # goes on to the next lower graph, which passes, as every stage below does
+    max_n, top = 5, 6
+    u = min(legal_subwords(fib, top).as_set())
+    cut = WordSet.from_iterable(
+        w for w in legal_subwords(fib, top + 1).as_set() if (w[:-1] if side == "right" else w[1:]) != u
+    )
+    real, sweep, sweeps = cohomology.legal_subwords, cohomology.words_connected, []
+
+    def words(rule, m):
+        return cut if m == top + 1 else real(rule, m)
+
+    def counted_sweep(alphabet, words, longer):
+        sweeps.append(len(next(iter(words))))
+        return sweep(alphabet, words, longer)
+
+    monkeypatch.setattr(cohomology, "legal_subwords", words)
+    monkeypatch.setattr(cohomology, "words_connected", counted_sweep)
+    assert tower_verdicts(fib, max_n) == stage_sweeps(fib, top, words) == [True] * max_n + [False]
+    assert sweeps == [top, max_n]
+    with pytest.raises(InvariantViolationError, match=f"stage-{top} graph is not strongly connected"):
+        list(stage_tower(fib, max_n))[-1].report()
 
 
 def invariant_factors(rows) -> list[int]:
