@@ -1,20 +1,7 @@
 """Factor languages, Rauzy graphs and exact graph cohomology of locally
 random substitutions."""
 
-from .cohomology import (
-    CohomologyReport,
-    InducedMap,
-    Stage,
-    coboundary_matrix,
-    h1_rank,
-    induced_h1_map,
-    pullback_matrices,
-    quotient_h0,
-    quotient_h1,
-    stage_report,
-    stage_tower,
-    verify_commutation,
-)
+from .cohomology import CohomologyReport, Stage, stage_report, stage_tower
 from .complexity import (
     ExtensionTable,
     SpecialsReport,
@@ -39,16 +26,7 @@ from .oracle import (
     verify_fibonacci_identity,
 )
 from .rational import RationalMatrix
-from .rauzy import (
-    Edge,
-    ProjectionMap,
-    RauzyGraph,
-    SimpleDigraph,
-    build_rauzy,
-    export_dot,
-    projection,
-    strongly_connected,
-)
+from .rauzy import Edge, RauzyGraph, build_rauzy, export_dot
 from .rules import (
     RandomSubstitution,
     fibonacci_rule,

@@ -1,10 +1,13 @@
 """Exact cochain computations on the stage tower.
 
-The dense functions build the stage graphs, the coboundaries D and the 0/1
-fiber-indicator pullbacks M0, M1, and take every rank by exact elimination;
-they are the reference.  ``Stage.report`` builds no graph, runs no
-elimination and walks no word set: it reads the sizes of F_n, F_{n+1},
-F_{n+2} and the split that the corner step tallied while it built F_{n+2}.
+Stage n is the Rauzy graph of F_n and F_{n+1}: its coboundary D takes
+vertex cochains to edge cochains, and the bonding map from stage n+1 pulls
+cochains back by the 0/1 fiber indicators M0 and M1.  ``Stage.report``
+builds no graph, runs no elimination and walks no word set: it reads the
+sizes of F_n, F_{n+1}, F_{n+2} and the split that the corner step tallied
+while it built F_{n+2}.  The dense reference, which builds the graphs and
+takes every rank by exact elimination, is kept with the tests
+(``tests/dense.py``).
 The bonding map drops the last letter of every vertex and edge word.
 Dropping the first letter instead gives a homotopic map: with H phi(w) =
 phi(edge w), M1_first - M1_last = D_s H and M0_first - M0_last = H D_t, so
@@ -67,115 +70,8 @@ from typing import Iterator, NamedTuple
 from .complexity import SpecialsReport, first_difference, specials_report
 from .errors import InvariantViolationError
 from .oracle import _legal_subword_set, legal_subwords
-from .rational import RationalMatrix
-from .rauzy import ProjectionMap, RauzyGraph, SimpleDigraph, strongly_connected, words_connected
+from .rauzy import words_connected
 from .rules import RandomSubstitution
-
-Graph = RauzyGraph | SimpleDigraph
-
-
-def coboundary_matrix(g: Graph) -> RationalMatrix:
-    """The vertex-to-edge coboundary: row e has +1 at head(e), -1 at tail(e).
-
-    Self-loops contribute a zero row, as the two signs cancel.
-    """
-    rows = []
-    for e in g.edges:
-        row = [0] * g.vertex_count
-        row[e.head] += 1
-        row[e.tail] -= 1
-        rows.append(row)
-    return RationalMatrix.from_int_rows(rows) if rows else RationalMatrix.zeros(0, g.vertex_count)
-
-
-def h1_rank(g: Graph, expected: int | None = None) -> int:
-    """Rank of the first cohomology: edge count minus coboundary rank.
-
-    For stage graphs the result is cross-checked against the complexity
-    first difference plus one; a mismatch raises.
-    """
-    rank_d = coboundary_matrix(g).rank()
-    h1 = len(g.edges) - rank_d
-    if isinstance(g, RauzyGraph):
-        if not strongly_connected(g):
-            raise InvariantViolationError(f"stage-{g.n} graph is not strongly connected")
-        s_plus_1 = first_difference(g.rule, g.n) + 1
-        if h1 != s_plus_1:
-            raise InvariantViolationError(
-                f"h1 rank {h1} of stage {g.n} differs from first difference + 1 = {s_plus_1}"
-            )
-    if expected is not None and h1 != expected:
-        raise InvariantViolationError(f"h1 rank {h1} differs from expected {expected}")
-    return h1
-
-
-def pullback_matrices(proj: ProjectionMap) -> tuple[RationalMatrix, RationalMatrix]:
-    """Indicator matrices of the vertex and edge fibers.
-
-    Both act by precomposition: column y of the vertex matrix marks the
-    source vertices mapping onto y, and likewise for edges.
-    """
-    m0 = [[0] * proj.target.vertex_count for _ in range(proj.source.vertex_count)]
-    for u, y in enumerate(proj.vertex_map):
-        m0[u][y] = 1
-    m1 = [[0] * proj.target.edge_count for _ in range(proj.source.edge_count)]
-    for e, c in enumerate(proj.edge_map):
-        m1[e][c] = 1
-    return RationalMatrix.from_int_rows(m0), RationalMatrix.from_int_rows(m1)
-
-
-def verify_commutation(proj: ProjectionMap) -> bool:
-    """Exactly check coboundary-after-pullback equals pullback-after-coboundary."""
-    m0, m1 = pullback_matrices(proj)
-    lhs = coboundary_matrix(proj.source) @ m0
-    rhs = m1 @ coboundary_matrix(proj.target)
-    return lhs == rhs
-
-
-class InducedMap(NamedTuple):
-    rank: int
-    injective: bool
-
-
-def induced_h1_map(proj: ProjectionMap) -> InducedMap:
-    """Rank of the induced map on first cohomology, and its injectivity.
-
-    With D the source coboundary and M1 the edge pullback, the induced
-    rank is rank([M1 | D]) - rank(D); the map is injective exactly when
-    that equals the target-stage h1 rank.
-    """
-    _, m1 = pullback_matrices(proj)
-    d_source = coboundary_matrix(proj.source)
-    combined_rank = m1.hstack(d_source).rank()
-    d_rank = d_source.rank()
-    induced_rank = combined_rank - d_rank
-    source_h1 = len(proj.target.edges) - coboundary_matrix(proj.target).rank()
-    return InducedMap(rank=induced_rank, injective=induced_rank == source_h1)
-
-
-def quotient_h0(proj: ProjectionMap) -> int:
-    """Dimension of the degree-0 quotient cohomology of the stage pair.
-
-    Computed as dim(preimage of im M1 under the source coboundary) minus
-    rank M0, using dim(U cap W) = rank U + rank W - rank [U | W].
-    """
-    m0, m1 = pullback_matrices(proj)
-    d = coboundary_matrix(proj.source)
-    d_rank = d.rank()
-    ker_d = proj.source.vertex_count - d_rank
-    intersection = d_rank + m1.rank() - m1.hstack(d).rank()
-    return ker_d + intersection - m0.rank()
-
-
-def quotient_h1(proj: ProjectionMap) -> int:
-    """Dimension of the degree-1 quotient cohomology of the stage pair.
-
-    The quotient complex has no degree-2 part, so this is the source
-    edge-cochain dimension minus rank [M1 | D].
-    """
-    _, m1 = pullback_matrices(proj)
-    d = coboundary_matrix(proj.source)
-    return proj.source.edge_count - m1.hstack(d).rank()
 
 
 class CohomologyReport(NamedTuple):
@@ -196,26 +92,28 @@ class CohomologyReport(NamedTuple):
 def _report(
     rule: RandomSubstitution, n: int, connected: tuple[bool, bool], sizes: tuple[int, int, int, int], split: int
 ) -> CohomologyReport:
-    """The stage-n report from the strong connectivity of stages n+1 and n, V_t, E_t, V_s, E_s and the split."""
+    """The stage-n report from the strong connectivity of stages n+1 and n, V_t, E_t, V_s, E_s and the split.
+
+    h1 = E_t - V_t + 1 and s(n) + 1 are both p(n+1) - p(n) + 1, read from the
+    same cached sizes, so the ``h1_rank_equals_s_plus_1`` row holds by
+    construction, and so does ``induced_injective == (induced_map_rank ==
+    h1_rank)``.  The independent check of h1 is the dense elimination in
+    ``test_stage_report_equals_dense_reference``.
+    """
     for stage, ok in zip((n + 1, n), connected):
         if not ok:
             raise InvariantViolationError(f"stage-{stage} graph is not strongly connected")
     v_t, e_t, v_s, e_s = sizes
-    h1, s_plus_1 = e_t - v_t + 1, first_difference(rule, n) + 1
-    induced_rank, injective = h1 - split, split == 0
-    if h1 != s_plus_1:
-        raise InvariantViolationError(f"stage {n}: h1 rank {h1} != s+1 = {s_plus_1}")
-    if injective != (induced_rank == h1):
-        raise InvariantViolationError(f"stage {n}: inconsistent injectivity flag")
+    h1 = e_t - v_t + 1
     return CohomologyReport(
         n=n,
         vertices=v_t,
         edges=e_t,
         h1_rank=h1,
-        s_plus_1=s_plus_1,
+        s_plus_1=first_difference(rule, n) + 1,
         pullback_injective_on_cochains=True,
-        induced_map_rank=induced_rank,
-        induced_injective=injective,
+        induced_map_rank=h1 - split,
+        induced_injective=split == 0,
         h0_quotient_dim=split,
         h1_quotient_dim=e_s - (e_t + v_s - v_t - split),  # E_s - C
     )

@@ -1,6 +1,6 @@
 """The dense reference: exact integer matrices, with rank over Q.
 
-The cochain matrices of the reference functions in ``cohomology`` hold only
+The cochain matrices of the dense reference in ``tests/dense.py`` hold only
 0 and ±1, so entries are Python ints, and a non-integer entry raises.  Rank
 runs the sparse elimination of ``kernels``; products skip zero entries.
 There is no tolerance parameter anywhere.

@@ -1,12 +1,11 @@
-"""Rauzy graphs, projections between consecutive stages, and DOT export.
+"""Rauzy graphs, the strong-connectivity sweep over words, and DOT export.
 
 The stage-n graph has the legal length-n factors as vertices and the
 legal length-(n+1) factors as edges; the edge for w runs from the vertex
-for w[:-1] to the vertex for w[1:].  The projection from stage n+1 to
-stage n drops the last letter, on vertex words and edge words alike, so
-each edge maps onto the edge of its tail word.  Dropping the first letter
-instead gives a homotopic map (vertex w slides along edge w), so no rank
-depends on the choice.
+for w[:-1] to the vertex for w[1:].  ``words_connected`` sweeps that graph
+over the words themselves, by membership in the next length, without
+building it; the letter-drop map between stages is described in
+``cohomology``.
 """
 
 from __future__ import annotations
@@ -46,23 +45,6 @@ class RauzyGraph(NamedTuple):
             degs[e.tail] += 1
         return degs
 
-    def in_degrees(self) -> list[int]:
-        degs = [0] * self.vertex_count
-        for e in self.edges:
-            degs[e.head] += 1
-        return degs
-
-
-class SimpleDigraph(NamedTuple):
-    """A bare multigraph for synthetic cochain examples."""
-
-    vertex_count: int
-    edges: tuple[Edge, ...]
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
 
 def build_rauzy(rule: RandomSubstitution, n: int) -> RauzyGraph:
     """Construct the stage-n graph with canonically ordered cells."""
@@ -96,23 +78,6 @@ def _sweeps_reach_all(start, count: int, successors, predecessors) -> bool:
     return True
 
 
-def strongly_connected(g: RauzyGraph | SimpleDigraph) -> bool:
-    """Whether every vertex reaches every other along oriented paths.
-
-    One sweep from vertex 0 along the edges and one against them: the
-    graph is strongly connected exactly when both sweeps reach every vertex.
-    """
-    n = g.vertex_count
-    if n == 0:
-        return False
-    forward: list[list[int]] = [[] for _ in range(n)]
-    backward: list[list[int]] = [[] for _ in range(n)]
-    for e in g.edges:
-        forward[e.tail].append(e.head)
-        backward[e.head].append(e.tail)
-    return _sweeps_reach_all(0, n, forward.__getitem__, backward.__getitem__)
-
-
 def words_connected(alphabet: tuple[str, ...], words: frozenset[str], longer: frozenset[str]) -> bool:
     """Strong connectivity of the stage-m graph by sweeps over ``words`` (F_m), read by membership in
     ``longer`` (F_{m+1}): the successors of v are v[1:] + y for each y with vy in F_{m+1}, and its
@@ -123,54 +88,6 @@ def words_connected(alphabet: tuple[str, ...], words: frozenset[str], longer: fr
         lambda v: [v[1:] + y for y in alphabet if v + y in longer],
         lambda v: [x + v[:-1] for x in alphabet if x + v in longer],
     )
-
-
-class ProjectionMap(NamedTuple):
-    """Cellular map from the stage-(n+1) graph onto the stage-n graph."""
-
-    n: int
-    source: RauzyGraph
-    target: RauzyGraph
-    vertex_map: tuple[int, ...]
-    edge_map: tuple[int, ...]
-
-
-def projection(rule: RandomSubstitution, n: int) -> ProjectionMap:
-    """Build the letter-drop map between stages n+1 and n, which drops the last letter of every word.
-
-    The image of an edge word must itself be an edge word whose endpoints
-    are the images of the original endpoints; violations abort, since for
-    a factor language they cannot occur.  The dense reference reads this
-    map; the stage tower works on the words themselves.
-    """
-    source, target = build_rauzy(rule, n + 1), build_rauzy(rule, n)
-    v_index = {w: i for i, w in enumerate(target.vertices)}
-    e_index = {e.word: i for i, e in enumerate(target.edges)}
-    vertex_map = tuple(v_index[w[:-1]] for w in source.vertices)
-    edge_map = []
-    for e in source.edges:
-        image_word = e.word[:-1]
-        j = e_index.get(image_word)
-        if j is None:
-            raise InvariantViolationError(f"projected edge word {image_word!r} is not an edge")
-        image = target.edges[j]
-        if image.tail != vertex_map[e.tail] or image.head != vertex_map[e.head]:
-            raise InvariantViolationError(
-                f"projected edge {image_word!r} does not connect the projected endpoints"
-            )
-        edge_map.append(j)
-    pmap = ProjectionMap(
-        n=n,
-        source=source,
-        target=target,
-        vertex_map=vertex_map,
-        edge_map=tuple(edge_map),
-    )
-    if set(pmap.vertex_map) != set(range(target.vertex_count)):
-        raise InvariantViolationError(f"vertex map of stage {n} is not surjective")
-    if set(pmap.edge_map) != set(range(target.edge_count)):
-        raise InvariantViolationError(f"edge map of stage {n} is not surjective")
-    return pmap
 
 
 def right_special_vertices(g: RauzyGraph) -> set[int]:

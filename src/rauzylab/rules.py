@@ -60,7 +60,8 @@ class RandomSubstitution:
                     raise InvalidRuleError(f"negative probability for {ch!r}")
                 if sum(vec, Fraction(0)) != 1:
                     raise InvalidRuleError(f"probabilities for {ch!r} must sum to 1 exactly")
-        self.__dict__["_rule_map"] = dict(self.rules)
+        # every oracle-cache lookup hashes the rule, so the hash is taken once
+        self.__dict__.update(_rule_map=dict(self.rules), _hash=hash(self._fields()))
 
     def _fields(self) -> tuple:
         return self.name, self.alphabet, self.rules, self.probabilities
@@ -69,7 +70,7 @@ class RandomSubstitution:
         return self._fields() == other._fields() if other.__class__ is self.__class__ else NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._fields())
+        return self._hash
 
     def __repr__(self) -> str:
         return "RandomSubstitution(name={!r}, alphabet={!r}, rules={!r}, probabilities={!r})".format(*self._fields())

@@ -174,6 +174,17 @@ def window_closure(rule, m: int) -> frozenset[str]:
     return frozenset(w for w in found if len(w) == m)
 
 
+def window_closures(rule, top: int) -> dict[int, frozenset[str]]:
+    """F_1..F_top from one window closure, at length ``top``: F_m is the set of length-m factors of F_top.
+
+    Exact for a primitive expanding rule, whose language is factorial (a
+    factor of a legal word is legal) and extendable (a legal word is a
+    factor of a legal word of any greater length).
+    """
+    words = window_closure(rule, top)
+    return {m: brute_factors(words, m) for m in range(1, top + 1)}
+
+
 def table_census(rule, n: int) -> dict:
     """The specials census of length n, one extension table per word.
 

@@ -11,22 +11,25 @@ from rauzylab import (
     complexity,
     fibonacci_rule,
     first_difference,
-    h1_rank,
-    induced_h1_map,
     is_legal,
     legal_subwords,
+    sample_inflation,
+    specials_report,
+    stage_tower,
+    verify_fibonacci_identity,
+)
+from rauzylab.cli import main
+
+from dense import (
+    h1_rank,
+    induced_h1_map,
     projection,
     pullback_matrices,
     quotient_h0,
     quotient_h1,
-    sample_inflation,
-    specials_report,
-    stage_tower,
     strongly_connected,
     verify_commutation,
-    verify_fibonacci_identity,
 )
-from rauzylab.cli import main
 
 RULE = fibonacci_rule()
 

@@ -9,28 +9,17 @@ from rauzylab import (
     Edge,
     InvalidRuleError,
     InvariantViolationError,
-    ProjectionMap,
     RationalMatrix,
     RauzyGraph,
-    SimpleDigraph,
     WordSet,
     build_rauzy,
-    coboundary_matrix,
     complexity,
     first_difference,
-    h1_rank,
-    induced_h1_map,
     legal_subwords,
     noble_means_rule,
-    projection,
-    pullback_matrices,
-    quotient_h0,
-    quotient_h1,
     specials_report,
     stage_report,
     stage_tower,
-    strongly_connected,
-    verify_commutation,
 )
 from rauzylab import cohomology, kernels, oracle
 
@@ -45,6 +34,19 @@ from conftest import (
     combined_rank,
     small_rules,
     stage_sweeps,
+)
+from dense import (
+    ProjectionMap,
+    SimpleDigraph,
+    coboundary_matrix,
+    h1_rank,
+    induced_h1_map,
+    projection,
+    pullback_matrices,
+    quotient_h0,
+    quotient_h1,
+    strongly_connected,
+    verify_commutation,
 )
 
 

@@ -16,18 +16,12 @@ from rauzylab import (
     Stage,
     build_rauzy,
     fibonacci_number,
-    h1_rank,
-    induced_h1_map,
     is_legal,
     legal_subwords,
     noble_means_rule,
-    projection,
-    quotient_h0,
-    quotient_h1,
     resolve_rule,
     specials_report,
     stage_report,
-    strongly_connected,
     verify_fibonacci_identity,
 )
 from rauzylab import oracle
@@ -48,8 +42,9 @@ from conftest import (
     census_fields,
     small_rules,
     table_census,
-    window_closure,
+    window_closures,
 )
+from dense import h1_rank, induced_h1_map, projection, quotient_h0, quotient_h1, strongly_connected
 
 # complexity values confirmed by two independent algorithms (the corner
 # step and the tests' window closure) and by brute enumeration up to length 13
@@ -96,12 +91,13 @@ def test_legal_subwords_equal_window_closure(fib):
         THREE_LETTER,
     )
     for rule in rules:
+        closures = window_closures(rule, 12)
         for m in range(1, 13):
-            expected = window_closure(rule, m)
-            assert legal_subwords(rule, m).as_set() == expected, (rule.name, m)
+            assert legal_subwords(rule, m).as_set() == closures[m], (rule.name, m)
     for rule in (DEPTH_THREE, NO_DEPTH, MIRROR_THREE):
+        closures = window_closures(rule, 8)
         for m in range(1, 9):
-            assert legal_subwords(rule, m).as_set() == window_closure(rule, m), (rule.name, m)
+            assert legal_subwords(rule, m).as_set() == closures[m], (rule.name, m)
 
 
 @settings(max_examples=200, deadline=None)
@@ -111,8 +107,10 @@ def test_legal_subwords_equal_window_closure_on_small_rules(rule):
         oracle._check_primitive(rule)
     except InvalidRuleError:
         assume(False)
-    for m in range(1, 7 if len(rule.alphabet) == 2 else 5):
-        assert legal_subwords(rule, m).as_set() == window_closure(rule, m), (rule.rules, m)
+    top = 6 if len(rule.alphabet) == 2 else 4
+    closures = window_closures(rule, top)
+    for m in range(1, top + 1):
+        assert legal_subwords(rule, m).as_set() == closures[m], (rule.rules, m)
     # the stage facts read off the corner step's census, against the
     # table census and the dense eliminations on built graphs
     for n in range(1, 4):
@@ -143,8 +141,9 @@ def test_mirror_rules_equal_window_closure_and_table_census(rule):
     except InvalidRuleError:
         assume(False)
     assert oracle._reversal_closed(rule)
+    closures = window_closures(rule, 6)
     for m in range(1, 7):
-        assert legal_subwords(rule, m).as_set() == window_closure(rule, m), (rule.rules, m)
+        assert legal_subwords(rule, m).as_set() == closures[m], (rule.rules, m)
     for n in range(1, 5):
         assert census_fields(specials_report(rule, n)) == table_census(rule, n), (rule.rules, n)
 
@@ -226,10 +225,12 @@ def test_same_length_preimage_cycles_end():
     # preimages at m = 2, and NO_DEPTH at every m; the path check must end
     # the search without losing a legal word
     for rule in (DET_FIB, THREE_LETTER):
+        closures = window_closures(rule, 3)
         for m in (2, 3):
-            assert legal_subwords(rule, m).as_set() == window_closure(rule, m), (rule.name, m)
+            assert legal_subwords(rule, m).as_set() == closures[m], (rule.name, m)
+    closures = window_closures(NO_DEPTH, 8)
     for m in range(1, 9):
-        assert legal_subwords(NO_DEPTH, m).as_set() == window_closure(NO_DEPTH, m), m
+        assert legal_subwords(NO_DEPTH, m).as_set() == closures[m], m
 
 
 def test_rule_without_depth_keeps_window_closure():

@@ -11,10 +11,12 @@ from rauzylab import (
     InvalidRuleError,
     InvalidWordError,
     RandomSubstitution,
+    fibonacci_rule,
     noble_means_rule,
     rule_from_json,
     sample_inflation,
 )
+from rauzylab import oracle
 
 
 def exhaustive_inflations(rule, w):
@@ -33,6 +35,19 @@ def test_fibonacci_rule_realizations(fib):
 def test_fibonacci_probabilities_default_half(fib):
     assert fib.probability_vector("a") == (Fraction(1, 2), Fraction(1, 2))
     assert sum(fib.probability_vector("a")) == 1
+
+
+def test_equal_rules_share_one_hash_and_the_oracle_cache():
+    # the hash is taken once, when the rule is built; two rules built apart
+    # must still be one key of the oracle's cache
+    a, b = fibonacci_rule(), fibonacci_rule()
+    assert a is not b and a == b and hash(a) == hash(b) == hash(a._fields())
+    oracle._legal_subword_set(a, 5)
+    hits = oracle._legal_subword_set.cache_info().hits
+    assert oracle._legal_subword_set(b, 5) is oracle._legal_subword_set(a, 5)
+    assert oracle._legal_subword_set.cache_info().hits == hits + 2
+    other = fibonacci_rule(Fraction(1, 3))
+    assert other.rules == a.rules and other != a
 
 
 def test_noble_means_one_matches_fibonacci_support(fib):
