@@ -5,9 +5,9 @@ vertex cochains to edge cochains, and the bonding map from stage n+1 pulls
 cochains back by the 0/1 fiber indicators M0 and M1.  ``Stage.report``
 builds no graph, runs no elimination and walks no word set: it reads the
 sizes of F_n, F_{n+1}, F_{n+2} and the split that the corner step tallied
-while it built F_{n+2}.  The dense reference, which builds the graphs and
-takes every rank by exact elimination, is kept with the tests
-(``tests/dense.py``).
+while it built F_{n+2}, by ``census(rule, n)``.  The dense reference, which
+builds the graphs and takes every rank by exact elimination, is kept with
+the tests (``tests/dense.py``).
 The bonding map drops the last letter of every vertex and edge word.
 Dropping the first letter instead gives a homotopic map: with H phi(w) =
 phi(edge w), M1_first - M1_last = D_s H and M0_first - M0_last = H D_t, so
@@ -69,7 +69,7 @@ from typing import Iterator, NamedTuple
 
 from .complexity import SpecialsReport, first_difference, specials_report
 from .errors import InvariantViolationError
-from .oracle import _legal_subword_set, legal_subwords
+from .oracle import census, legal_subwords
 from .rauzy import words_connected
 from .rules import RandomSubstitution
 
@@ -149,8 +149,7 @@ class Stage:
         """The cochain report of stage n, from the sizes of F_n, F_{n+1}, F_{n+2} and the census split of F_n."""
         rule, n = self.rule, self.n
         sizes = tuple(len(legal_subwords(rule, m)) for m in (n, n + 1, n + 1, n + 2))
-        split = _legal_subword_set(rule, n + 2)[1][-1]
-        return _report(rule, n, (self._connected(n + 1), self.connected), sizes, split)
+        return _report(rule, n, (self._connected(n + 1), self.connected), sizes, census(rule, n).split)
 
 
 def stage_report(rule: RandomSubstitution, n: int) -> CohomologyReport:

@@ -11,7 +11,7 @@ over F_n, the only pass over the words of each length: L(v) and R(v) are
 read by membership in F_{n+1}, and the corners of each bispecial are the
 words of F_{n+2} with middle v, which the step decided.  It also carries
 the split that the cochain report reads.  ``specials_report`` reads the
-census from the oracle cache, and only the sizes of F_n, F_{n+1}, F_{n+2}.
+census by ``census(rule, n)``, and only the sizes of F_n, F_{n+1}, F_{n+2}.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import DomainError, InvariantViolationError
-from .oracle import _legal_subword_set, legal_subwords
+from .oracle import census, legal_subwords
 from .rules import RandomSubstitution
 from .words import WordSet
 
@@ -75,8 +75,8 @@ def specials_report(rule: RandomSubstitution, n: int) -> SpecialsReport:
     """Every legal length-n factor classified by its extensions in F_{n+1}, and each bispecial by its corners.
 
     The census is the one the corner step tallied while it built F_{n+2},
-    cached beside it; this reads it and the sizes of F_n, F_{n+1} and
-    F_{n+2}, and walks no word set.  It decides two identities.
+    read by ``census(rule, n)``; this reads it and the sizes of F_n,
+    F_{n+1} and F_{n+2}, and walks no word set.  It decides two identities.
     ``bispecial_identity`` is s(n+1) - s(n) == strong(n) - weak(n).
     ``no_weak_bispecials`` holds iff every bispecial has at least three
     legal corners and every right (left) special admits a common left
@@ -89,21 +89,20 @@ def specials_report(rule: RandomSubstitution, n: int) -> SpecialsReport:
         raise ValueError("length must be >= 1")
     p, longer, deeper = (len(legal_subwords(rule, m)) for m in (n, n + 1, n + 2))
     s = longer - p
-    rights, lefts, bis, strong, weak, neutral, no_weak, _ = _legal_subword_set(rule, n + 2)[1]
-    if len(rule.alphabet) == 2 and not len(rights) == len(lefts) == s:
-        raise InvariantViolationError(
-            f"specials count mismatch at n={n}: rs={len(rights)} ls={len(lefts)} s={s}"
-        )
+    c = census(rule, n)
+    rs, ls = len(c.right_specials), len(c.left_specials)
+    if len(rule.alphabet) == 2 and not rs == ls == s:
+        raise InvariantViolationError(f"specials count mismatch at n={n}: rs={rs} ls={ls} s={s}")
     return SpecialsReport(
         n=n,
         p=p,
         s=s,
-        right_specials=WordSet.from_iterable(rights),
-        left_specials=WordSet.from_iterable(lefts),
-        bispecials=WordSet.from_iterable(bis),
-        strong_count=strong,
-        weak_count=weak,
-        neutral_count=neutral,
-        bispecial_identity=deeper - longer - s == strong - weak,
-        no_weak_bispecials=no_weak,
+        right_specials=WordSet.from_iterable(c.right_specials),
+        left_specials=WordSet.from_iterable(c.left_specials),
+        bispecials=WordSet.from_iterable(c.bispecials),
+        strong_count=c.strong_count,
+        weak_count=c.weak_count,
+        neutral_count=c.neutral_count,
+        bispecial_identity=deeper - longer - s == c.strong_count - c.weak_count,
+        no_weak_bispecials=c.no_weak_bispecials,
     )

@@ -14,7 +14,8 @@ accepts only legal corners, finds every one, and ends.  When every
 letter's realizations are closed under string reversal, as for random
 Fibonacci and every noble:m, so is the language, and the step searches
 only one bispecial of each pair {v, rev(v)}.  The step also tallies the
-specials census of F_{m-2}, which the cache keeps beside F_m.
+specials census of F_{m-2}, which the cache keeps beside F_m and
+``census(rule, n)`` reads.
 
 Both preconditions are checked, never assumed: the rule must be primitive
 (some power of its letter-incidence matrix is positive) and expanding
@@ -116,9 +117,17 @@ def _reversal_closed(rule: RandomSubstitution) -> bool:
     return all({r[::-1] for r in rule.realizations(a)} == set(rule.realizations(a)) for a in rule.alphabet)
 
 
-#: the specials census of one length: right specials, left specials and bispecials, the strong, weak and
-#: neutral counts, whether no bispecial is weak, and the split, the sum over bispecials of c(E(v)) - 1
-Census = tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...], int, int, int, bool, int]
+class Census(NamedTuple):
+    """The specials census of one length, as the corner step tallies it; ``split`` is sum_v (c(E(v)) - 1)."""
+
+    right_specials: tuple[str, ...]
+    left_specials: tuple[str, ...]
+    bispecials: tuple[str, ...]
+    strong_count: int
+    weak_count: int
+    neutral_count: int
+    no_weak_bispecials: bool
+    split: int
 
 
 def _components(xs: list[str], ys: list[str], pairs: set[tuple[str, str]]) -> int:
@@ -143,19 +152,19 @@ def _corner_step(rule: RandomSubstitution, built: list[frozenset[str]]) -> tuple
     has one right extension y, every legal xv extends, and only by y, so
     xvy is legal for every x; the same holds with one left extension.  The
     other xvy, the corners of bispecial v, are decided by ``corners``, one
-    search over v for all of them.  A corner u that lies in one
-    realization (possible only while m <= the longest one) is legal at
-    once.  Any other u is parsed into blocks of theta: a nonempty suffix
-    of a realization, whole realizations, and a nonempty prefix of a
-    realization, with preimage w, one letter per block.  A w shorter than
-    m is looked up in F_j; one of length m, which only 1-letter
-    realizations give, is decided by the same search over w[1:-1] with the
-    one corner w, unless w is on the path: u, and the corners whose
-    searches led to this one.  A parse reads x only in its first block and
-    y only in its last, which starts at y (i == len(v)) or is a
-    realization r with r.startswith(v[i:]) and y = r[len(v) - i].  So a
-    state (i, pre), a parse of x + v[:i], serves every x whose first block
-    gives it, and its last block names the y it decides.
+    search over v for all of them, which ends once none is undecided.  A
+    corner u that lies in one realization (possible only while m <= the
+    longest one) is legal at once.  Any other u is parsed into blocks of
+    theta: a nonempty suffix of a realization, whole realizations, and a
+    nonempty prefix of a realization, with preimage w, one letter per
+    block.  A w shorter than m is looked up in F_j; one of length m, which
+    only 1-letter realizations give, is decided by the same search over
+    w[1:-1] with the one corner w, unless w is on the path: u, and the
+    corners whose searches led to this one.  A parse reads x only in its
+    first block and y only in its last, which starts at y (i == len(v)) or
+    is a realization r with r.startswith(v[i:]) and y = r[len(v) - i].  So
+    a state (i, pre), a parse of x + v[:i], serves every x whose first
+    block gives it, and its last block names the y it decides.
 
     Sound: u is accepted only in a realization of a letter, or in one of
     theta(w) with w in F_j or accepted by a nested search, so legal by
@@ -192,13 +201,14 @@ def _corner_step(rule: RandomSubstitution, built: list[frozenset[str]]) -> tuple
 
     The same loop over F_{m-2} tallies its specials census.  Every word the
     step adds with middle v is xvy for that same v, so the words of F_m
-    with middle v are exactly the corners it decided for v: ``found``, or
-    its reversal for a mirror twin.  So each bispecial is strong at 4
-    corners, weak at 2 and neutral otherwise, and is no weak one when it
-    has 3 or more corners, some x with every xvy legal and some y with
-    every xvy legal.  A twin takes the class and the verdict of the one
-    searched: reversal swaps the two conditions, so their AND is kept.  A
-    bispecial with no legal corner raises.
+    with middle v are exactly the corners (x, y) it decided for v, or, for
+    a mirror twin, their reversals y rev(v) x.  So each bispecial is strong
+    at 4 corners, weak at 2 and neutral otherwise, and is no weak one when
+    it has 3 or more corners, some x with every xvy legal and some y with
+    every xvy legal; a complete corner set has both.  A twin takes the
+    class and the verdict of the one searched: reversal swaps the two
+    conditions, so their AND is kept.  A bispecial with no legal corner
+    raises.
 
     It also tallies the split, the sum of c(E(v)) - 1, where the extension
     graph E(v) joins x in L(v) to y in R(v) for each legal xvy (Cassaigne
@@ -219,12 +229,13 @@ def _corner_step(rule: RandomSubstitution, built: list[frozenset[str]]) -> tuple
             firsts.setdefault(r[i], {})[a, r[i + 1 :]] = None
     every = [block for bs in blocks.values() for block in bs]
 
-    def corners(v: str, xs: list[str], ys: list[str], path: tuple[str, ...] = ()) -> list[str]:
-        """The legal corners xvy, x in xs and y in ys, by one search over v.
+    def corners(v: str, xs: list[str], ys: list[str], path: tuple[str, ...] = ()) -> set[tuple[str, str]]:
+        """The (x, y), x in xs and y in ys, with xvy legal, by one search over v that ends once all are decided.
 
         ``path`` holds the corners whose searches led to this one.
         """
         todo = {x: {y for y in ys if not any(x + v + y in r for r in covering)} if covering else set(ys) for x in xs}
+        undecided = sum(map(len, todo.values()))
         seeds: dict[tuple[int, str], list[str]] = {}
         for x in xs:
             for a, rest in firsts.get(x, ()):
@@ -233,7 +244,7 @@ def _corner_step(rule: RandomSubstitution, built: list[frozenset[str]]) -> tuple
         stack = [(i, a, tuple(xx)) for (i, a), xx in seeds.items()]
         if len(stack) > 1:  # seeds shared by more x's are walked first, for all of them at once
             stack.sort(key=lambda st: len(st[2]))
-        while stack:
+        while stack and undecided:
             i, pre, served = stack.pop()
             if not any(map(todo.get, served)):
                 continue
@@ -252,7 +263,8 @@ def _corner_step(rule: RandomSubstitution, built: list[frozenset[str]]) -> tuple
                             else w not in (on := path + (x + v + y,)) and corners(w[1:-1], [w[0]], [w[-1]], on)
                         ):
                             todo[x].discard(y)
-        return [x + v + y for x in xs for y in ys if y not in todo[x]]
+                            undecided -= 1
+        return {(x, y) for x in xs for y in ys if y not in todo[x]}
 
     mirror = _reversal_closed(rule)
     out: set[str] = set()
@@ -286,25 +298,24 @@ def _corner_step(rule: RandomSubstitution, built: list[frozenset[str]]) -> tuple
             if rv < v:
                 continue  # its corners, class and verdict come from the search over rv
             twins = 2
-        found = corners(v, xs, ys)
-        if not found:
+        pairs = corners(v, xs, ys)
+        if not pairs:
             raise InvariantViolationError(f"legal factor {v!r} has no legal corner extension")
-        out.update(found)
-        if mirror:
-            out.update(u[::-1] for u in found)
-        pairs = {(u[0], u[-1]) for u in found}
+        out.update(x + v + y for x, y in pairs)
+        if mirror:  # rv = rev(v), bound above
+            out.update(y + rv + x for x, y in pairs)
         no_weak &= len(pairs) >= 3
-        no_weak &= any(all((x, y) in pairs for y in ys) for x in xs)
-        no_weak &= any(all((x, y) in pairs for x in xs) for y in ys)
+        if len(pairs) < len(xs) * len(ys):  # a complete E(v) is connected and passes both no-weak scans
+            no_weak &= any(all((x, y) in pairs for y in ys) for x in xs)
+            no_weak &= any(all((x, y) in pairs for x in xs) for y in ys)
+            split += twins * (_components(xs, ys, pairs) - 1)
         if len(pairs) == 4:
             strong += twins
         elif len(pairs) == 2:
             weak += twins
         else:
             neutral += twins
-        if len(pairs) < len(xs) * len(ys):  # a complete E(v) is connected
-            split += twins * (_components(xs, ys, pairs) - 1)
-    return frozenset(out), (tuple(rs), tuple(ls), tuple(bis), strong, weak, neutral, no_weak, split)
+    return frozenset(out), Census(tuple(rs), tuple(ls), tuple(bis), strong, weak, neutral, no_weak, split)
 
 
 @lru_cache(maxsize=None)
@@ -321,8 +332,15 @@ def _legal_subword_set(rule: RandomSubstitution, m: int) -> tuple[WordSet, Censu
     if m == 1:
         return WordSet.from_iterable(rule.alphabet), None
     built = [frozenset([""])] + [_legal_subword_set(rule, j)[0].as_set() for j in range(1, m)]
-    words, census = _corner_step(rule, built)
-    return WordSet.from_iterable(words), census
+    words, tally = _corner_step(rule, built)
+    return WordSet.from_iterable(words), tally
+
+
+def census(rule: RandomSubstitution, n: int) -> Census:
+    """The specials census of F_n, which the corner step tallied while it built F_{n+2}."""
+    if n < 1:
+        raise ValueError("length must be >= 1")
+    return _legal_subword_set(rule, n + 2)[1]
 
 
 def legal_subwords(rule: RandomSubstitution, m: int) -> WordSet:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import sys
 from bisect import bisect_right
 from fractions import Fraction
 from math import lcm
@@ -121,6 +122,8 @@ def noble_means_rule(m: int, probabilities: tuple[Fraction, ...] | None = None) 
     """
     if not isinstance(m, int) or m < 1:
         raise InvalidRuleError("noble means parameter m must be a positive integer")
+    if m + 1 > sys.maxsize:  # the realization count must fit an index; past it "a" * m raises OverflowError
+        raise InvalidRuleError(f"noble means parameter m must be at most {sys.maxsize - 1}")
     words = tuple("a" * i + "b" + "a" * (m - i) for i in range(m + 1))
     if probabilities is None:
         vec = tuple(Fraction(1, m + 1) for _ in range(m + 1))

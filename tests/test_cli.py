@@ -274,6 +274,12 @@ def test_unknown_rule_fails_cleanly(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("m", [sys.maxsize, 99999999999999999999], ids=["maxsize", "twenty-digits"])
+def test_oversized_noble_parameter_fails_cleanly(capsys, m):
+    code, out, err = run_cli(capsys, "complexity", "--rule", f"noble:{m}", "--max-n", "1")
+    assert (code, out, err) == (1, "", f"error: noble means parameter m must be at most {sys.maxsize - 1}\n")
+
+
 def _benchmark_workloads():
     """WORKLOADS and OUTPUT_DIR of perfbench/run.py, read without running it."""
     spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")

@@ -22,6 +22,7 @@ from rauzylab import (
     stage_tower,
 )
 from rauzylab import cohomology, kernels, oracle
+from rauzylab.oracle import census
 
 from conftest import (
     DEPTH_THREE,
@@ -279,7 +280,7 @@ def union_find_split(proj: ProjectionMap) -> int:
 
 def census_split(rule, n: int) -> int:
     """The split of F_n's census, which the corner step tallied while it built F_{n+2}."""
-    return oracle._legal_subword_set(rule, n + 2)[1][-1]
+    return census(rule, n).split
 
 
 def assert_split(rule, n: int) -> int:

@@ -11,6 +11,7 @@ from rauzylab import (
     noble_means_rule,
     specials_report,
 )
+from rauzylab.oracle import census
 
 from conftest import (
     DEPTH_THREE,
@@ -102,11 +103,29 @@ def test_census_against_brute_reclassification(fib):
         assert rep.weak_count == sum(c == 2 for c in corner_counts.values())
 
 
+def census_record(rule, n: int) -> dict:
+    """The fields of ``census(rule, n)`` that ``table_census`` also returns, its word tuples as sets."""
+    fields = census(rule, n)._asdict()
+    del fields["split"]  # checked against the union-find and the dense eliminations in test_cohomology
+    for key in ("right_specials", "left_specials", "bispecials"):
+        assert len(set(fields[key])) == len(fields[key]), (rule.name, n, key)
+        fields[key] = set(fields[key])
+    return fields
+
+
+def assert_census(rule, n: int) -> None:
+    """The report and the corner step's record, read by field name, both equal the table reference."""
+    table = table_census(rule, n)
+    assert census_fields(specials_report(rule, n)) == table, (rule.name, n)
+    record = census_record(rule, n)
+    assert record == {key: table[key] for key in record}, (rule.name, n)
+
+
 def test_census_equals_table_reference(fib):
     # the census reads extension maps and only the corners inside them; the
     # reference looks every letter and letter pair up, one table per word
     for n in range(1, 13):
-        assert census_fields(specials_report(fib, n)) == table_census(fib, n), n
+        assert_census(fib, n)
     rules = (
         noble_means_rule(2),
         noble_means_rule(3),
@@ -122,7 +141,13 @@ def test_census_equals_table_reference(fib):
     )
     for rule in rules:
         for n in range(1, 9):
-            assert census_fields(specials_report(rule, n)) == table_census(rule, n), (rule.name, n)
+            assert_census(rule, n)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_census_accessor_rejects_nonpositive_length(fib, n):
+    with pytest.raises(ValueError, match="length must be >= 1"):
+        census(fib, n)
 
 
 def test_counting_identity_right_specials(fib):

@@ -1,6 +1,7 @@
 """Substitution rules, rule files and seeded sampling."""
 
 import re
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -13,6 +14,7 @@ from rauzylab import (
     RandomSubstitution,
     fibonacci_rule,
     noble_means_rule,
+    resolve_rule,
     rule_from_json,
     sample_inflation,
 )
@@ -78,6 +80,10 @@ def test_noble_means_rejects_bad_parameters():
         noble_means_rule(0)
     with pytest.raises(InvalidRuleError):
         noble_means_rule(2, (Fraction(1, 2), Fraction(1, 2)))
+    # past the index range "a" * m raised OverflowError; a smaller m builds (m+1)^2 letters, so none is tried
+    for m in (sys.maxsize, 99999999999999999999):
+        with pytest.raises(InvalidRuleError, match=f"must be at most {sys.maxsize - 1}$"):
+            resolve_rule(f"noble:{m}")
 
 
 def test_rule_validation_rejects_bad_probabilities():
